@@ -119,17 +119,8 @@ void run_gemm_concurrent3(benchmark::State& state, GemmKernel kernel) {
 void BM_GemmNaive(benchmark::State& state) {
   run_gemm(state, GemmKernel::kNaive, 1);
 }
-void BM_GemmBlocked(benchmark::State& state) {
-  run_gemm(state, GemmKernel::kBlocked, 1);
-}
-void BM_GemmThreaded(benchmark::State& state) {
-  run_gemm(state, GemmKernel::kThreaded, 0);
-}
 void BM_GemmPacked(benchmark::State& state) {
   run_gemm(state, GemmKernel::kPacked, 0);
-}
-void BM_GemmThreadedConcurrent3(benchmark::State& state) {
-  run_gemm_concurrent3(state, GemmKernel::kThreaded);
 }
 void BM_GemmPackedConcurrent3(benchmark::State& state) {
   run_gemm_concurrent3(state, GemmKernel::kPacked);
@@ -164,13 +155,9 @@ void register_tier_benchmarks() {
 }  // namespace
 
 BENCHMARK(BM_GemmNaive)->Arg(64)->Arg(128)->Arg(256);
-BENCHMARK(BM_GemmBlocked)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
-BENCHMARK(BM_GemmThreaded)->Arg(256)->Arg(512)->Arg(1024);
 BENCHMARK(BM_GemmPacked)->Arg(256)->Arg(512)->Arg(1024);
 // UseRealTime: the measuring thread only spawns/joins the callers, so CPU
 // time would be ~0 and the derived GFLOPs meaningless.
-BENCHMARK(BM_GemmThreadedConcurrent3)->Arg(512)->Arg(1024)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_GemmPackedConcurrent3)->Arg(512)->Arg(1024)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 

@@ -33,11 +33,9 @@ void usage() {
       "  --regime cpm|fpm   workload partitioning regime (default cpm)\n"
       "  --speeds a,b,c     CPM speeds (default 1.0,2.0,0.9)\n"
       "  --numeric          really multiply and verify (n <= 8192)\n"
-      "  --kernel NAME      numeric DGEMM kernel: packed (default) |\n"
-      "                     threaded | blocked | naive\n"
+      "  --kernel NAME      numeric DGEMM kernel: packed (default) | naive\n"
       "  --kernel-threads N shared compute-pool size override (0 = auto:\n"
       "                     hardware threads minus rank threads)\n"
-      "  --kernel-block B   cache-block edge for blocked/threaded (64)\n"
       "  --simd-tier T      packed microkernel tier: auto (default) |\n"
       "                     scalar | sse2 | avx2 (explicit unavailable\n"
       "                     tiers fail; SUMMAGEN_FORCE_SCALAR=1 caps auto)\n"
@@ -48,7 +46,7 @@ void usage() {
       "  --fastmm-crossover X  smallest fast sub-block edge (0 = auto:\n"
       "                     tuned cache else 512)\n"
       "  --fastmm-max-depth D  fast recursion depth cap (default 3)\n"
-      "  --scheduler NAME   eager | pipelined | taskgraph (default eager)\n"
+      "  --scheduler NAME   eager | taskgraph (default eager)\n"
       "  --engine NAME      thread (default, one OS thread per rank) |\n"
       "                     modeled (cooperative fibers on one scheduler\n"
       "                     thread; bit-identical, cheap at large p)\n"
@@ -57,9 +55,8 @@ void usage() {
       "  --two-level        price collectives as inter-node stage over\n"
       "                     node leaders plus widest intra-node stage\n"
       "  --overlap-depth D  in-flight broadcast window (>= 0, 0 = unbounded):\n"
-      "                     the pipelined prefetch depth, equivalently the\n"
-      "                     task graph's posted-ahead window (--window is an\n"
-      "                     alias)\n"
+      "                     the task graph's posted-ahead window (--window\n"
+      "                     is an alias)\n"
       "  --panel-rows R     broadcast panel rows, 0 = whole sub-partitions\n"
       "  --fault LIST       inject faults: <kind>@<t>:<rank>[x<arg>], e.g.\n"
       "                     crash@0.5:1 | slow@0.5:1x4 | link@0.2:0x8 |\n"
@@ -98,17 +95,15 @@ int main(int argc, char** argv) {
 
   try {
     const std::string scheduler = cli.get("scheduler", "eager");
-    if (scheduler == "pipelined") {
-      config.summagen_options.scheduler = core::Scheduler::kPipelined;
-    } else if (scheduler == "taskgraph") {
+    if (scheduler == "taskgraph") {
       config.summagen_options.scheduler = core::Scheduler::kTaskGraph;
     } else if (scheduler != "eager") {
       throw util::CliError("--scheduler: unknown scheduler '" + scheduler +
-                           "' (expected eager | pipelined | taskgraph)");
+                           "' (expected eager | taskgraph)");
     }
     // --overlap-depth and --window name the same quantity: the bound on
-    // posted-but-uncompleted broadcasts (pipelined prefetch depth == the
-    // task graph's in-flight window).
+    // posted-but-uncompleted broadcasts (the task graph's in-flight
+    // window).
     if (cli.has("overlap-depth") && cli.has("window")) {
       throw util::CliError("--window is an alias of --overlap-depth; "
                            "pass only one");
@@ -132,10 +127,6 @@ int main(int argc, char** argv) {
     const std::string kernel = cli.get("kernel", "packed");
     if (kernel == "packed") {
       config.kernel.kernel = blas::GemmKernel::kPacked;
-    } else if (kernel == "threaded") {
-      config.kernel.kernel = blas::GemmKernel::kThreaded;
-    } else if (kernel == "blocked") {
-      config.kernel.kernel = blas::GemmKernel::kBlocked;
     } else if (kernel == "naive") {
       config.kernel.kernel = blas::GemmKernel::kNaive;
     } else {
@@ -145,7 +136,6 @@ int main(int argc, char** argv) {
     }
     config.kernel.threads =
         static_cast<int>(cli.get_int_min("kernel-threads", 0, 0));
-    config.kernel.block = cli.get_int_min("kernel-block", 64, 1);
     try {
       config.kernel.fastmm =
           blas::parse_fastmm_kind(cli.get("fastmm", "classical"));

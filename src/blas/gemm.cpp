@@ -16,8 +16,9 @@ namespace summagen::blas {
 namespace {
 
 // Scales rows [row_begin, row_end) of C by beta (zero-fill when beta == 0,
-// so prior NaNs are overwritten). Runs inside pool tasks for the parallel
-// kernels; the full-matrix serial prepass only survives on kNaive/kBlocked.
+// so prior NaNs are overwritten). Runs inside pool tasks for the
+// C-scaling-only calls of kPacked, and as a serial full-matrix prepass on
+// kNaive.
 void scale_rows(std::int64_t row_begin, std::int64_t row_end, std::int64_t n,
                 double beta, double* c, std::int64_t ldc) {
   if (beta == 1.0) return;
@@ -41,34 +42,6 @@ void gemm_naive(std::int64_t m, std::int64_t n, std::int64_t k, double alpha,
         acc += a[i * lda + l] * b[l * ldb + j];
       }
       c[i * ldc + j] += alpha * acc;
-    }
-  }
-}
-
-// ikj-ordered cache-blocked kernel: the innermost loop streams a row of B
-// and a row of C, which vectorises well on row-major storage.
-void gemm_blocked_rows(std::int64_t row_begin, std::int64_t row_end,
-                       std::int64_t n, std::int64_t k, double alpha,
-                       const double* a, std::int64_t lda, const double* b,
-                       std::int64_t ldb, double* c, std::int64_t ldc,
-                       std::int64_t blk) {
-  for (std::int64_t i0 = row_begin; i0 < row_end; i0 += blk) {
-    const std::int64_t i1 = std::min(i0 + blk, row_end);
-    for (std::int64_t l0 = 0; l0 < k; l0 += blk) {
-      const std::int64_t l1 = std::min(l0 + blk, k);
-      for (std::int64_t j0 = 0; j0 < n; j0 += blk) {
-        const std::int64_t j1 = std::min(j0 + blk, n);
-        for (std::int64_t i = i0; i < i1; ++i) {
-          for (std::int64_t l = l0; l < l1; ++l) {
-            const double av = alpha * a[i * lda + l];
-            const double* brow = b + l * ldb;
-            double* crow = c + i * ldc;
-            for (std::int64_t j = j0; j < j1; ++j) {
-              crow[j] += av * brow[j];
-            }
-          }
-        }
-      }
     }
   }
 }
@@ -269,12 +242,6 @@ void dgemm(std::int64_t m, std::int64_t n, std::int64_t k, double alpha,
       ldc < std::max<std::int64_t>(1, n)) {
     throw std::invalid_argument("dgemm: leading dimension too small");
   }
-  if ((opts.kernel == GemmKernel::kBlocked ||
-       opts.kernel == GemmKernel::kThreaded) &&
-      opts.block <= 0) {
-    throw std::invalid_argument("dgemm: block must be positive, got " +
-                                std::to_string(opts.block));
-  }
   if (opts.mc < 0 || opts.nc < 0 || opts.kc < 0) {
     throw std::invalid_argument(
         "dgemm: mc/nc/kc must be non-negative (0 = auto)");
@@ -288,11 +255,9 @@ void dgemm(std::int64_t m, std::int64_t n, std::int64_t k, double alpha,
   }
   if (m == 0 || n == 0) return;
 
-  const bool pooled = opts.kernel == GemmKernel::kThreaded ||
-                      opts.kernel == GemmKernel::kPacked;
   if (k == 0 || alpha == 0.0) {
-    // Pure C-scaling call: still worth the pool on the parallel kernels.
-    if (pooled && m > 1) {
+    // Pure C-scaling call: still worth the pool on the packed kernel.
+    if (opts.kernel == GemmKernel::kPacked && m > 1) {
       const int width = resolve_gemm_threads(opts.threads);
       sgpool::parallel_for(
           0, m, std::max<std::int64_t>(1, (m + width - 1) / width),
@@ -318,38 +283,6 @@ void dgemm(std::int64_t m, std::int64_t n, std::int64_t k, double alpha,
       scale_rows(0, m, n, beta, c, ldc);
       gemm_naive(m, n, k, alpha, a, lda, b, ldb, c, ldc);
       return;
-    case GemmKernel::kBlocked:
-      scale_rows(0, m, n, beta, c, ldc);
-      gemm_blocked_rows(0, m, n, k, alpha, a, lda, b, ldb, c, ldc,
-                        std::max<std::int64_t>(8, opts.block));
-      return;
-    case GemmKernel::kThreaded: {
-      const int want = resolve_gemm_threads(opts.threads);
-      const int width = static_cast<int>(
-          std::min<std::int64_t>(want, std::max<std::int64_t>(1, m)));
-      const std::int64_t blk = std::max<std::int64_t>(8, opts.block);
-      if (width == 1) {
-        scale_rows(0, m, n, beta, c, ldc);
-        gemm_blocked_rows(0, m, n, k, alpha, a, lda, b, ldb, c, ldc, blk);
-        return;
-      }
-      // Row-band tasks on the shared pool; the beta pass is fused into
-      // each band (one parallel touch of C instead of a serial prepass).
-      const std::int64_t chunk = (m + width - 1) / width;
-      sgpool::TaskGroup group;
-      for (int t = 0; t < width; ++t) {
-        const std::int64_t r0 = t * chunk;
-        const std::int64_t r1 = std::min(m, r0 + chunk);
-        if (r0 >= r1) break;
-        group.run([=] {
-          scale_rows(r0, r1, n, beta, c, ldc);
-          gemm_blocked_rows(r0, r1, n, k, alpha, a, lda, b, ldb, c, ldc,
-                            blk);
-        });
-      }
-      group.wait();
-      return;
-    }
     case GemmKernel::kPacked: {
       const SimdTier tier = resolve_simd_tier(opts.tier);
       const detail::MicroKernel mk = detail::microkernel_for(tier);

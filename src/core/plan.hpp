@@ -5,16 +5,17 @@
 // two: `build_plan` derives, once per run and identically on every rank,
 // the complete list of communication operations (panel broadcasts of A and
 // B sub-partitions over their row/column subgroups), purely-local copies
-// (rows/columns with a single owner), and local DGEMMs. Schedulers then
-// execute the plan — `kEager` in the paper's strict phase order, or
-// `kPipelined` with non-blocking broadcasts overlapping DGEMM execution.
+// (rows/columns with a single owner), and local DGEMMs. The task graph
+// built from it (src/core/taskgraph/) is then executed by a scheduler —
+// `kEager` in the paper's strict phase order, or `kTaskGraph` with
+// non-blocking broadcasts overlapping DGEMM execution.
 //
 // Ordering contract: `comm_ops` is in the eager global order (all A
 // operations by sub-partition row, then all B operations by column). Every
 // rank derives the same list, so the sub-sequence of operations on any one
 // subgroup communicator is identical across its members — the MPI
 // collective-ordering rule. Both schedulers issue operations in exactly
-// this order; the pipelined one merely separates posting from completion.
+// this order; the dataflow one merely separates posting from completion.
 //
 // Overlap granularity: a DGEMM on sub-partition (bi, bj) reads the full
 // A row line bi and B column line bj along the shared dimension k = n.
@@ -24,9 +25,9 @@
 // B panels of the row block intersecting the interval) arrive by a known
 // prefix of `comm_ops`. Executing the chunks in ascending-k order as
 // C += A[:, k0:k1) * B[k0:k1, :] accumulations is numerically identical to
-// the single whole-k DGEMM for the in-place kernels (kBlocked/kThreaded
-// update every C element in ascending-k order either way), and lets the
-// broadcasts beyond `dep` ride the communication lane under the chunk.
+// the single whole-k DGEMM (every kernel updates each C element in
+// ascending-k order either way), and lets the broadcasts beyond `dep` ride
+// the communication lane under the chunk.
 #pragma once
 
 #include <cstdint>
@@ -75,7 +76,7 @@ struct GemmOp {
   int bi = 0;
   int bj = 0;
   int owner = 0;  ///< executing rank
-  std::vector<GemmChunk> chunks;  ///< k-decomposition for the pipeline
+  std::vector<GemmChunk> chunks;  ///< k-decomposition for overlap
 };
 
 struct ExecutionPlan {

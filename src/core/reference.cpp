@@ -5,7 +5,8 @@
 namespace summagen::core {
 
 util::Matrix reference_multiply(const util::Matrix& a, const util::Matrix& b) {
-  return blas::multiply(a, b, {.kernel = blas::GemmKernel::kBlocked});
+  return blas::multiply(a, b,
+                        {.threads = 1, .tier = blas::SimdTier::kScalar});
 }
 
 double gemm_tolerance(std::int64_t n) {

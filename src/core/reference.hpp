@@ -8,8 +8,10 @@
 
 namespace summagen::core {
 
-/// C = A * B with the blocked serial kernel — the oracle SummaGen results
-/// are checked against in tests and numeric experiments.
+/// C = A * B with the serial scalar tier of the packed kernel — the oracle
+/// SummaGen results are checked against in tests and numeric experiments.
+/// Bit-identical to blas::GemmKernel::kNaive (same per-element ascending-k
+/// chain), at packed-kernel speed.
 util::Matrix reference_multiply(const util::Matrix& a, const util::Matrix& b);
 
 /// Tolerance scale for comparing two n x n products of matrices with

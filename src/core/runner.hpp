@@ -153,7 +153,7 @@ struct ExperimentResult {
   std::vector<double> rank_comp_s;
   std::vector<double> rank_comm_s;
   std::vector<double> rank_idle_s;
-  /// Per-rank broadcast cost hidden behind compute by the pipelined
+  /// Per-rank broadcast cost hidden behind compute by the dataflow
   /// scheduler (all zero under Scheduler::kEager).
   std::vector<double> rank_hidden_s;
   double hidden_comm_time_s = 0.0;  ///< max over ranks — the overlap win

@@ -244,8 +244,7 @@ Summa25dReport summa25d_rank(sgmpi::Comm& world, std::int64_t n,
       exec_step_gemm(node);
     }
   };
-  taskgraph::run_graph(graph, rank, taskgraph::schedule_for(config.scheduler),
-                       /*window=*/0, hooks);
+  taskgraph::run_graph(graph, rank, config.scheduler, /*window=*/0, hooks);
   return report;
 }
 

@@ -26,8 +26,6 @@ const char* to_string(Scheduler scheduler) {
   switch (scheduler) {
     case Scheduler::kEager:
       return "eager";
-    case Scheduler::kPipelined:
-      return "pipelined";
     case Scheduler::kTaskGraph:
       return "taskgraph";
   }
@@ -475,7 +473,7 @@ RankReport summagen_rank(sgmpi::Comm& world,
     }
     if (ft != nullptr && ft->on_step && ft->on_step(obs)) shed = true;
   };
-  // kProgram fuses each chunk chain into the historical single whole-op
+  // kEager fuses each chunk chain into the historical single whole-op
   // kernel call — eager numeric results and virtual timing stay exact.
   hooks.run_fused = [&](const taskgraph::TaskNode& node, int /*nchunks*/) {
     if (shed) return;
@@ -532,9 +530,8 @@ RankReport summagen_rank(sgmpi::Comm& world,
     report.mpi_time_s += group.wait(request);
   };
 
-  taskgraph::run_graph(*graph, rank,
-                       taskgraph::schedule_for(options.scheduler),
-                       options.overlap_depth, hooks);
+  taskgraph::run_graph(*graph, rank, options.scheduler, options.overlap_depth,
+                       hooks);
 
   // With the communication schedule fully executed (no peer is mid-
   // collective against this rank's buffers), a confirmed drift unwinds via

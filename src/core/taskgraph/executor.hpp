@@ -1,26 +1,23 @@
 // Schedules of the task graph (src/core/taskgraph/taskgraph.hpp).
 //
-// One executor, three schedules — all legal topological orders of the same
+// One executor, two schedules — both legal topological orders of the same
 // graph, so they move the same bytes and accumulate every C element in the
 // same ascending-k order (bit-identity per SIMD tier):
 //
-//  * kProgram: ascending node id — the construction (eager) order. Comm
+//  * Scheduler::kEager: ascending node id — the construction order. Comm
 //    nodes run blocking; consecutive kGemm chunk chains of one op may be
 //    fused into a single whole-kernel call (run_fused), reproducing the
 //    historical eager executor's call sequence and virtual timing exactly.
-//  * kLazy: local nodes in ascending id; each GEMM chunk first completes
-//    the posted comm nodes up to its last comm dependency, keeping at most
-//    `window` broadcasts in flight — the historical pipelined schedule.
-//  * kDataflow: ready-set driven. Comm nodes are posted ahead up to
-//    `window` and completed in ascending id (so subgroup collective order
-//    is preserved); whenever any local node has all dependencies
+//  * Scheduler::kTaskGraph: ready-set driven. Comm nodes are posted ahead
+//    up to `window` and completed in ascending id (so subgroup collective
+//    order is preserved); whenever any local node has all dependencies
 //    satisfied, the lowest-id ready node runs. The rank only blocks in a
 //    comm completion when nothing is computable — compute never waits on a
 //    broadcast another chunk could hide.
 //
-// Determinism: all three schedules are functions of the graph structure
-// alone (ready-set ties break by lowest id, completions are in-order), so
-// a run's schedule — and with it the virtual timeline — is exactly
+// Determinism: both schedules are functions of the graph structure alone
+// (ready-set ties break by lowest id, completions are in-order), so a
+// run's schedule — and with it the virtual timeline — is exactly
 // reproducible.
 //
 // Rank projection: the executor runs one rank. Local nodes execute iff
@@ -45,33 +42,14 @@
 
 namespace summagen::core::taskgraph {
 
-enum class GraphSchedule {
-  kProgram,   ///< ascending node id (the eager order)
-  kLazy,      ///< complete-before-first-reader (the pipelined order)
-  kDataflow,  ///< ready-set driven (the task-graph order)
-};
-
-/// Maps the public scheduler knob onto its graph schedule.
-inline GraphSchedule schedule_for(Scheduler scheduler) {
-  switch (scheduler) {
-    case Scheduler::kEager:
-      return GraphSchedule::kProgram;
-    case Scheduler::kPipelined:
-      return GraphSchedule::kLazy;
-    case Scheduler::kTaskGraph:
-      return GraphSchedule::kDataflow;
-  }
-  return GraphSchedule::kProgram;
-}
-
 /// Node execution callbacks. `run_local` and `run_comm` are required; the
 /// rest are optional refinements:
-///  * run_fused — kProgram only: executes a full consecutive chain of
+///  * run_fused — kEager only: executes a full consecutive chain of
 ///    kGemm chunk nodes of one op as a single whole-kernel call (the
 ///    historical eager charge). Called with the first chunk node and the
 ///    chain length; the executor then skips the chain.
 ///  * post_comm/complete_comm — non-blocking split of a comm node (must be
-///    provided together). kLazy/kDataflow post up to `window` nodes ahead
+///    provided together). kTaskGraph posts up to `window` nodes ahead
 ///    and complete them in posting order; without these hooks every comm
 ///    node falls back to blocking run_comm at its completion slot. Posting
 ///    requires comm nodes without local predecessors (the executor may
@@ -86,11 +64,11 @@ struct ExecHooks {
 
 /// Executes `graph` for `rank` under `schedule`. `window` bounds the
 /// posted-but-uncompleted comm nodes per rank (<= 0 = unbounded; ignored
-/// by kProgram, which is fully blocking). Dropped nodes are skipped.
+/// by kEager, which is fully blocking). Dropped nodes are skipped.
 /// Throws std::logic_error on an unexecutable graph (cyclic wait) and
 /// propagates whatever the hooks throw (fault injection unwinds through
 /// here with requests in flight; sgmpi tolerates that during unwind).
-void run_graph(const TaskGraph& graph, int rank, GraphSchedule schedule,
+void run_graph(const TaskGraph& graph, int rank, Scheduler schedule,
                int window, const ExecHooks& hooks);
 
 }  // namespace summagen::core::taskgraph

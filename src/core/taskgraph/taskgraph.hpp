@@ -7,9 +7,8 @@
 // happens*: nodes are panel broadcasts, local copies, B/A-panel packs,
 // k-chunked GEMM accumulations, and 2.5D reductions; edges are read/write
 // dependencies. Schedulers (src/core/taskgraph/executor.hpp) then execute
-// any legal topological order — the eager and pipelined schedules are two
-// constrained orders of the same graph, and the dataflow scheduler runs
-// whatever is ready.
+// any legal topological order — the eager schedule is the construction
+// order of the graph, and the dataflow scheduler runs whatever is ready.
 //
 // Determinism contract: every rank builds the graph from the same
 // deterministic inputs (the per-rank identical ExecutionPlan, or the
@@ -21,7 +20,7 @@
 // Recovery contract: shrink-and-repartition recovery prunes the graph
 // (prune_completed) instead of rewriting op lists. Node ids are stable
 // under pruning — dropped nodes stay in place and every executor skips
-// them — so chunk->broadcast dependencies survive filtering and all three
+// them — so chunk->broadcast dependencies survive filtering and both
 // schedulers remain legal on the un-run subgraph.
 #pragma once
 

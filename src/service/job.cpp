@@ -96,7 +96,9 @@ std::uint64_t job_signature(const core::ExperimentConfig& config,
   m.fold(config.seed);
   m.fold(static_cast<std::uint64_t>(config.kernel.kernel));
   m.fold(static_cast<std::uint64_t>(config.kernel.tier));
-  m.fold(static_cast<std::uint64_t>(config.kernel.block));
+  m.fold(static_cast<std::uint64_t>(config.kernel.fastmm));
+  m.fold(static_cast<std::uint64_t>(config.kernel.fastmm_crossover));
+  m.fold(static_cast<std::uint64_t>(config.kernel.fastmm_max_depth));
   m.fold(static_cast<std::uint64_t>(config.engine));
   m.fold(static_cast<std::uint64_t>(config.bcast_algo));
   m.fold(config.two_level_collectives ? 1 : 0);

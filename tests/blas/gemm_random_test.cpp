@@ -30,12 +30,10 @@ TEST(GemmRandom, RandomShapesAllKernels) {
       }
     }
 
-    for (auto kernel : {GemmKernel::kNaive, GemmKernel::kBlocked,
-                        GemmKernel::kThreaded, GemmKernel::kPacked}) {
+    for (auto kernel : {GemmKernel::kNaive, GemmKernel::kPacked}) {
       GemmOptions opts;
       opts.kernel = kernel;
       opts.threads = static_cast<int>(rng.uniform_int(1, 5));
-      opts.block = rng.uniform_int(8, 40);
       const Matrix got = multiply(a, b, opts);
       EXPECT_LE(Matrix::max_abs_diff(got, want), 1e-11 * (k + 1))
           << "trial " << trial << " m=" << m << " n=" << n << " k=" << k;

@@ -3,8 +3,8 @@
 // case of the five-loop scheme — M % MR, N % NR, K % KC leftovers, plus
 // degenerate 1x1, 1xN and Mx1 problems — and compared to the naive oracle.
 // Also pins the cross-tier bitwise contract: scalar == SSE2 exactly, and
-// the scalar packed tier == kBlocked exactly, under any MC/NC/KC blocking
-// and any thread width.
+// the scalar packed tier == kNaive exactly (alpha = 1, beta = 0), under any
+// MC/NC/KC blocking and any thread width.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -78,19 +78,19 @@ TEST(GemmTail, AllTiersMatchOracleOnFringeShapes) {
   }
 }
 
-TEST(GemmTail, ScalarTierBitIdenticalToBlockedUnderAnyBlocking) {
+TEST(GemmTail, ScalarTierBitIdenticalToNaiveUnderAnyBlocking) {
   Matrix a(29, 35), b(35, 21);
   util::fill_random(a, 23);
   util::fill_random(b, 24);
-  const Matrix blocked = multiply(a, b, {.kernel = GemmKernel::kBlocked});
+  const Matrix naive = multiply(a, b, {.kernel = GemmKernel::kNaive});
   for (std::int64_t kc : {std::int64_t{2}, std::int64_t{7},
                           std::int64_t{256}}) {
     for (int threads : {1, 3}) {
       GemmOptions opts{.kernel = GemmKernel::kPacked, .threads = threads,
                        .tier = SimdTier::kScalar, .mc = 4, .nc = 8,
                        .kc = kc};
-      EXPECT_EQ(blocked, multiply(a, b, opts)) << "kc=" << kc
-                                               << " threads=" << threads;
+      EXPECT_EQ(naive, multiply(a, b, opts)) << "kc=" << kc
+                                             << " threads=" << threads;
     }
   }
 }

@@ -54,9 +54,7 @@ TEST(GemmView, StridedSubviewsBitIdenticalToCompactCopies) {
   const Matrix a_copy = materialize(a);
   const Matrix b_copy = materialize(b);
 
-  for (GemmKernel kernel :
-       {GemmKernel::kNaive, GemmKernel::kBlocked, GemmKernel::kThreaded,
-        GemmKernel::kPacked}) {
+  for (GemmKernel kernel : {GemmKernel::kNaive, GemmKernel::kPacked}) {
     GemmOptions opts;
     opts.kernel = kernel;
 

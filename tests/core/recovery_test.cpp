@@ -148,17 +148,6 @@ TEST(FaultRecovery, SlowdownKeepsAllRanksAndVerifies) {
   for (double t : res.rank_exec_s) EXPECT_GT(t, 0.4 * t0);
 }
 
-TEST(FaultRecovery, CrashUnderPipelinedSchedulerVerifies) {
-  auto config = numeric_config();
-  config.summagen_options.scheduler = Scheduler::kPipelined;
-  const double t0 = fault_free_time(config);
-  config.faults.events.push_back(
-      {sgmpi::FaultKind::kCrash, /*rank=*/2, /*at_vtime=*/0.5 * t0});
-  const auto res = run_pmm(config);
-  EXPECT_TRUE(res.verified) << "max_abs_error=" << res.max_abs_error;
-  EXPECT_GE(res.recoveries, 1);
-}
-
 // Recovery is re-scheduling the pruned task graph, so it works under the
 // dataflow scheduler too — the surviving chunk->broadcast dependencies and
 // the comm completion order are unchanged by pruning.
@@ -175,7 +164,7 @@ TEST(FaultRecovery, CrashUnderTaskGraphSchedulerVerifies) {
 
 TEST(FaultRecovery, TransientDropIsAbsorbedWithoutRecovery) {
   auto config = numeric_config();
-  config.summagen_options.scheduler = Scheduler::kPipelined;
+  config.summagen_options.scheduler = Scheduler::kTaskGraph;
   config.faults.events.push_back({sgmpi::FaultKind::kMessageDrop, /*rank=*/0,
                                   /*at_vtime=*/0.0, /*factor=*/1.0,
                                   /*drop_count=*/2});

@@ -7,7 +7,7 @@
 //    liveness rule dropped, with node ids untouched;
 //  * the SUMMA / 2.5D step chains have the expected shape (replication
 //    heads, write-after-read workspace edges, reduction tail);
-//  * all three schedulers produce bit-identical numeric results and
+//  * both schedulers produce bit-identical numeric results and
 //    identical counters on the chain graphs (SUMMA and 2.5D).
 #include "src/core/taskgraph/taskgraph.hpp"
 
@@ -319,18 +319,14 @@ TEST(StepChainSchedulerMatrix, SummaBitIdenticalAcrossSchedulers) {
   const std::int64_t n = 100;
   const SummaConfig config{2, 3, 32};
   const SummaOutcome eager = run_summa(n, config, Scheduler::kEager);
-  for (const Scheduler sched :
-       {Scheduler::kPipelined, Scheduler::kTaskGraph}) {
-    const SummaOutcome other = run_summa(n, config, sched);
-    EXPECT_EQ(util::Matrix::max_abs_diff(eager.c, other.c), 0.0)
-        << to_string(sched);
-    for (std::size_t r = 0; r < eager.reports.size(); ++r) {
-      EXPECT_EQ(eager.reports[r].steps, other.reports[r].steps);
-      EXPECT_EQ(eager.reports[r].bcasts, other.reports[r].bcasts);
-      EXPECT_EQ(eager.reports[r].bcast_bytes, other.reports[r].bcast_bytes);
-      EXPECT_EQ(eager.reports[r].mpi_time_s, other.reports[r].mpi_time_s);
-      EXPECT_EQ(eager.reports[r].flops, other.reports[r].flops);
-    }
+  const SummaOutcome other = run_summa(n, config, Scheduler::kTaskGraph);
+  EXPECT_EQ(util::Matrix::max_abs_diff(eager.c, other.c), 0.0);
+  for (std::size_t r = 0; r < eager.reports.size(); ++r) {
+    EXPECT_EQ(eager.reports[r].steps, other.reports[r].steps);
+    EXPECT_EQ(eager.reports[r].bcasts, other.reports[r].bcasts);
+    EXPECT_EQ(eager.reports[r].bcast_bytes, other.reports[r].bcast_bytes);
+    EXPECT_EQ(eager.reports[r].mpi_time_s, other.reports[r].mpi_time_s);
+    EXPECT_EQ(eager.reports[r].flops, other.reports[r].flops);
   }
 }
 
@@ -374,20 +370,16 @@ TEST(StepChainSchedulerMatrix, Summa25dBitIdenticalAcrossSchedulers) {
   const std::int64_t n = 60;
   const Summa25dConfig config{2, 3, 7};  // nothing divides anything
   const Summa25dOutcome eager = run_25d(n, config, Scheduler::kEager);
-  for (const Scheduler sched :
-       {Scheduler::kPipelined, Scheduler::kTaskGraph}) {
-    const Summa25dOutcome other = run_25d(n, config, sched);
-    EXPECT_EQ(util::Matrix::max_abs_diff(eager.c, other.c), 0.0)
-        << to_string(sched);
-    for (std::size_t r = 0; r < eager.reports.size(); ++r) {
-      EXPECT_EQ(eager.reports[r].steps, other.reports[r].steps);
-      EXPECT_EQ(eager.reports[r].bcasts, other.reports[r].bcasts);
-      EXPECT_EQ(eager.reports[r].bcast_bytes, other.reports[r].bcast_bytes);
-      EXPECT_EQ(eager.reports[r].replication_bytes,
-                other.reports[r].replication_bytes);
-      EXPECT_EQ(eager.reports[r].reduce_bytes, other.reports[r].reduce_bytes);
-      EXPECT_EQ(eager.reports[r].mpi_time_s, other.reports[r].mpi_time_s);
-    }
+  const Summa25dOutcome other = run_25d(n, config, Scheduler::kTaskGraph);
+  EXPECT_EQ(util::Matrix::max_abs_diff(eager.c, other.c), 0.0);
+  for (std::size_t r = 0; r < eager.reports.size(); ++r) {
+    EXPECT_EQ(eager.reports[r].steps, other.reports[r].steps);
+    EXPECT_EQ(eager.reports[r].bcasts, other.reports[r].bcasts);
+    EXPECT_EQ(eager.reports[r].bcast_bytes, other.reports[r].bcast_bytes);
+    EXPECT_EQ(eager.reports[r].replication_bytes,
+              other.reports[r].replication_bytes);
+    EXPECT_EQ(eager.reports[r].reduce_bytes, other.reports[r].reduce_bytes);
+    EXPECT_EQ(eager.reports[r].mpi_time_s, other.reports[r].mpi_time_s);
   }
 }
 

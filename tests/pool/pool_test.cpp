@@ -1,7 +1,7 @@
 // sgpool executor tests: primitives (task groups, stealing, exceptions,
 // nesting), the no-thread-spawn-in-dgemm guarantee, concurrent dgemm
 // callers vs a serial oracle, kPacked equivalence, and the pool under the
-// pipelined SummaGen scheduler (this binary also runs in the TSan CI job).
+// dataflow SummaGen scheduler (this binary also runs in the TSan CI job).
 #include "src/pool/pool.hpp"
 
 #include <gtest/gtest.h>
@@ -25,18 +25,6 @@ using blas::GemmKernel;
 using blas::GemmOptions;
 using blas::multiply;
 using util::Matrix;
-
-Matrix oracle(const Matrix& a, const Matrix& b) {
-  Matrix c(a.rows(), b.cols());
-  for (std::int64_t i = 0; i < a.rows(); ++i) {
-    for (std::int64_t j = 0; j < b.cols(); ++j) {
-      double acc = 0.0;
-      for (std::int64_t l = 0; l < a.cols(); ++l) acc += a(i, l) * b(l, j);
-      c(i, j) = acc;
-    }
-  }
-  return c;
-}
 
 TEST(Pool, RunsEverySubmittedTask) {
   sgpool::Pool pool(3);
@@ -198,11 +186,7 @@ TEST(Pool, DgemmSpawnsNoThreads) {
   (void)blas::multiply(a, b, {.kernel = GemmKernel::kPacked});
   const std::int64_t spawned_before = sgpool::Pool::process_threads_spawned();
   for (int rep = 0; rep < 20; ++rep) {
-    for (GemmKernel kernel : {GemmKernel::kThreaded, GemmKernel::kPacked}) {
-      GemmOptions opts;
-      opts.kernel = kernel;
-      (void)blas::multiply(a, b, opts);
-    }
+    (void)blas::multiply(a, b, {.kernel = GemmKernel::kPacked});
   }
   EXPECT_EQ(sgpool::Pool::process_threads_spawned(), spawned_before);
 }
@@ -224,27 +208,24 @@ TEST(Pool, ConcurrentDgemmCallersMatchSerialOracle) {
     serial.threads = 1;
     wants.push_back(multiply(as.back(), bs.back(), serial));
   }
-  for (GemmKernel kernel : {GemmKernel::kThreaded, GemmKernel::kPacked}) {
-    std::vector<Matrix> got(kCallers);
-    std::vector<std::thread> callers;
-    for (int r = 0; r < kCallers; ++r) {
-      callers.emplace_back([&, r] {
-        GemmOptions opts;
-        opts.kernel = kernel;
-        for (int rep = 0; rep < 8; ++rep) {
-          got[static_cast<std::size_t>(r)] =
-              multiply(as[static_cast<std::size_t>(r)],
-                       bs[static_cast<std::size_t>(r)], opts);
-        }
-      });
-    }
-    for (auto& t : callers) t.join();
-    for (int r = 0; r < kCallers; ++r) {
-      EXPECT_LE(Matrix::max_abs_diff(got[static_cast<std::size_t>(r)],
-                                     wants[static_cast<std::size_t>(r)]),
-                1e-11)
-          << "caller " << r;
-    }
+  std::vector<Matrix> got(kCallers);
+  std::vector<std::thread> callers;
+  for (int r = 0; r < kCallers; ++r) {
+    callers.emplace_back([&, r] {
+      for (int rep = 0; rep < 8; ++rep) {
+        got[static_cast<std::size_t>(r)] =
+            multiply(as[static_cast<std::size_t>(r)],
+                     bs[static_cast<std::size_t>(r)],
+                     {.kernel = GemmKernel::kPacked});
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  for (int r = 0; r < kCallers; ++r) {
+    EXPECT_LE(Matrix::max_abs_diff(got[static_cast<std::size_t>(r)],
+                                   wants[static_cast<std::size_t>(r)]),
+              1e-11)
+        << "caller " << r;
   }
 }
 
@@ -265,28 +246,26 @@ TEST(Pool, PackedMatchesNaiveOnRandomShapes) {
   }
 }
 
-TEST(Pool, PackedBitIdenticalToBlockedAndThreaded) {
+TEST(Pool, PackedBitIdenticalToNaive) {
   // The packed layout must not change the per-element accumulation chain.
   // The scalar (and SSE2) dispatch tiers keep that guarantee; the AVX2 tier
   // fuses multiply-add and is covered by tolerance tests instead.
   Matrix a(53, 210), b(210, 37);
   util::fill_random(a, 5);
   util::fill_random(b, 6);
-  const Matrix blocked = multiply(a, b, {.kernel = GemmKernel::kBlocked});
-  const Matrix threaded = multiply(a, b, {.kernel = GemmKernel::kThreaded});
+  const Matrix naive = multiply(a, b, {.kernel = GemmKernel::kNaive});
   const Matrix packed = multiply(
       a, b,
       {.kernel = GemmKernel::kPacked, .tier = blas::SimdTier::kScalar});
-  EXPECT_EQ(blocked, threaded);
-  EXPECT_EQ(blocked, packed);
+  EXPECT_EQ(naive, packed);
   // The auto tier (whatever this host dispatches to) stays within the
   // usual componentwise error bound of the same chain.
   const Matrix dispatched = multiply(a, b, {.kernel = GemmKernel::kPacked});
-  EXPECT_LE(Matrix::max_abs_diff(blocked, dispatched), 1e-11 * (210 + 1));
+  EXPECT_LE(Matrix::max_abs_diff(naive, dispatched), 1e-11 * (210 + 1));
 }
 
-TEST(Pool, PipelinedSchedulerOnPoolVerifies) {
-  // The k-chunked pipelined schedule issues local DGEMMs from three rank
+TEST(Pool, TaskGraphOnPoolVerifies) {
+  // The k-chunked dataflow schedule issues local DGEMMs from three rank
   // threads concurrently with outstanding broadcasts — exactly the workload
   // that oversubscribed the host before the shared pool. Run it numerically
   // end-to-end (TSan covers this binary in CI).
@@ -294,14 +273,12 @@ TEST(Pool, PipelinedSchedulerOnPoolVerifies) {
   config.platform = device::Platform::hclserver1();
   config.n = 144;
   config.numeric = true;
-  config.summagen_options.scheduler = core::Scheduler::kPipelined;
+  config.summagen_options.scheduler = core::Scheduler::kTaskGraph;
   config.summagen_options.overlap_depth = 2;
   config.summagen_options.bcast_panel_rows = 24;
-  for (GemmKernel kernel : {GemmKernel::kThreaded, GemmKernel::kPacked}) {
-    config.kernel.kernel = kernel;
-    const auto res = core::run_pmm(config);
-    EXPECT_TRUE(res.verified) << "max |err| " << res.max_abs_error;
-  }
+  config.kernel.kernel = GemmKernel::kPacked;
+  const auto res = core::run_pmm(config);
+  EXPECT_TRUE(res.verified) << "max |err| " << res.max_abs_error;
 }
 
 }  // namespace

@@ -226,5 +226,37 @@ TEST(PmmService, OnlyOneRuntimeContextAllowed) {
   EXPECT_THROW(core::RuntimeContext(), std::logic_error);
 }
 
+// Batch members all receive the front job's result, so any field that
+// changes what a job computes or how long it takes must reach the
+// signature — the fast-MM fields change both the modeled virtual time
+// (kernel_cost prices fastmm_modeled_flops) and the verify tolerance.
+TEST(JobSignature, EqualConfigsShareASignature) {
+  core::ExperimentConfig a = numeric_config(partition::Shape::kSquareCorner);
+  core::ExperimentConfig b = numeric_config(partition::Shape::kSquareCorner);
+  a.kernel.fastmm = b.kernel.fastmm = blas::FastMmKind::kStrassen;
+  a.kernel.fastmm_crossover = b.kernel.fastmm_crossover = 64;
+  a.kernel.fastmm_max_depth = b.kernel.fastmm_max_depth = 2;
+  EXPECT_NE(job_signature(a), 0u);
+  EXPECT_EQ(job_signature(a), job_signature(b));
+}
+
+TEST(JobSignature, EachFastMmFieldChangesTheSignature) {
+  const core::ExperimentConfig base =
+      numeric_config(partition::Shape::kSquareCorner);
+  const std::uint64_t sig = job_signature(base);
+
+  core::ExperimentConfig kind = base;
+  kind.kernel.fastmm = blas::FastMmKind::kStrassen;
+  EXPECT_NE(job_signature(kind), sig);
+
+  core::ExperimentConfig crossover = base;
+  crossover.kernel.fastmm_crossover = 64;
+  EXPECT_NE(job_signature(crossover), sig);
+
+  core::ExperimentConfig depth = base;
+  depth.kernel.fastmm_max_depth = 1;
+  EXPECT_NE(job_signature(depth), sig);
+}
+
 }  // namespace
 }  // namespace summagen::service

@@ -82,29 +82,28 @@ TEST(Cli, NegativeNumericValue) {
 }
 
 TEST(Cli, GetIntMinAcceptsValidValues) {
-  const auto cli = make({"--kernel-block", "16", "--kernel-threads=0"});
-  EXPECT_EQ(cli.get_int_min("kernel-block", 64, 1), 16);
+  const auto cli = make({"--repeats", "16", "--kernel-threads=0"});
+  EXPECT_EQ(cli.get_int_min("repeats", 5, 1), 16);
   EXPECT_EQ(cli.get_int_min("kernel-threads", 0, 0), 0);
   EXPECT_EQ(cli.get_int_min("absent", 42, 1), 42);  // fallback bypasses min
 }
 
 TEST(Cli, GetIntMinRejectsBelowMinimum) {
-  const auto cli = make({"--kernel-block=0", "--kernel-threads=-2"});
+  const auto cli = make({"--repeats=0", "--kernel-threads=-2"});
   try {
-    cli.get_int_min("kernel-block", 64, 1);
+    cli.get_int_min("repeats", 5, 1);
     FAIL() << "expected CliError";
   } catch (const CliError& e) {
-    EXPECT_NE(std::string(e.what()).find("--kernel-block"),
-              std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("--repeats"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find(">= 1"), std::string::npos);
   }
   EXPECT_THROW(cli.get_int_min("kernel-threads", 0, 0), CliError);
 }
 
 TEST(Cli, GetIntMinRejectsMalformedValues) {
-  const auto cli = make({"--kernel-block=fast", "--kernel-threads=3x"});
+  const auto cli = make({"--repeats=fast", "--kernel-threads=3x"});
   try {
-    cli.get_int_min("kernel-block", 64, 1);
+    cli.get_int_min("repeats", 5, 1);
     FAIL() << "expected CliError";
   } catch (const CliError& e) {
     EXPECT_NE(std::string(e.what()).find("'fast'"), std::string::npos);
