@@ -19,6 +19,7 @@
 //                          --node-procs 4, --nodes 256/1024 gives the
 //                          p=1024/4096 scale-out points)
 //        --engine thread|modeled   (modeled = fibers, cheap at large p)
+//        --scheduler eager|taskgraph   (taskgraph = dataflow overlap)
 //        --bcast-algo tree|flat|ring|pipelined|auto
 //        --two-level               (topology-aware two-stage collectives)
 //        --partitioners nrrp,hierarchical,column_based,one_dimensional
@@ -101,6 +102,7 @@ int main(int argc, char** argv) {
   std::int64_t node_procs = 0;
   std::vector<std::string> partitioners;
   sgmpi::Engine engine = sgmpi::Engine::kThread;
+  core::Scheduler scheduler = core::Scheduler::kEager;
   trace::BcastAlgo bcast_algo = trace::BcastAlgo::kTree;
   bool two_level = false;
   try {
@@ -111,6 +113,11 @@ int main(int argc, char** argv) {
     partitioners = split_csv(cli.get(
         "partitioners", "nrrp,hierarchical,column_based,one_dimensional"));
     engine = sgmpi::parse_engine(cli.get("engine", "thread"));
+    try {
+      scheduler = core::parse_scheduler(cli.get("scheduler", "eager"));
+    } catch (const std::invalid_argument& e) {
+      throw util::CliError(std::string("--scheduler: ") + e.what());
+    }
     bcast_algo = trace::parse_bcast_algo(cli.get("bcast-algo", "tree"));
     two_level = cli.get_bool("two-level", false);
   } catch (const std::exception& e) {
@@ -170,6 +177,7 @@ int main(int argc, char** argv) {
       config.n = n;
       config.preset_spec = spec;
       config.engine = engine;
+      config.summagen_options.scheduler = scheduler;
       config.bcast_algo = bcast_algo;
       config.two_level_collectives = two_level;
       const auto res = core::run_pmm(config);
@@ -193,7 +201,8 @@ int main(int argc, char** argv) {
       .render("Strong scaling across cluster nodes, N=" + std::to_string(n) +
               ", " + std::to_string(node_speeds.size()) + " procs/node, " +
               "network " + util::Table::num(net_gbps, 1) + " GB/s, engine " +
-              sgmpi::to_string(engine) + ", bcast " +
+              sgmpi::to_string(engine) + ", scheduler " +
+              core::to_string(scheduler) + ", bcast " +
               trace::to_string(bcast_algo))
       .print(std::cout);
   if (baseline_added) {

@@ -94,12 +94,11 @@ int main(int argc, char** argv) {
                          cli.has("chrome-trace");
 
   try {
-    const std::string scheduler = cli.get("scheduler", "eager");
-    if (scheduler == "taskgraph") {
-      config.summagen_options.scheduler = core::Scheduler::kTaskGraph;
-    } else if (scheduler != "eager") {
-      throw util::CliError("--scheduler: unknown scheduler '" + scheduler +
-                           "' (expected eager | taskgraph)");
+    try {
+      config.summagen_options.scheduler =
+          core::parse_scheduler(cli.get("scheduler", "eager"));
+    } catch (const std::invalid_argument& e) {
+      throw util::CliError(std::string("--scheduler: ") + e.what());
     }
     // --overlap-depth and --window name the same quantity: the bound on
     // posted-but-uncompleted broadcasts (the task graph's in-flight

@@ -32,23 +32,37 @@ const char* to_string(Scheduler scheduler) {
   return "?";
 }
 
+Scheduler parse_scheduler(const std::string& name) {
+  if (name == "eager") return Scheduler::kEager;
+  if (name == "taskgraph") return Scheduler::kTaskGraph;
+  throw std::invalid_argument("unknown scheduler '" + name +
+                              "' (expected eager | taskgraph)");
+}
+
 namespace {
 
 /// Scheduler constant folded into pack tags (disjoint from the SUMMA and
 /// 2.5D key spaces even for identical geometry).
 constexpr std::uint64_t kSummagenPackTag = 0x5347454eull;  // "SGEN"
 
-/// Process-wide cache of the rank-invariant (plan, graph) pair. Every rank
-/// derives the same ExecutionPlan and TaskGraph from (spec,
-/// bcast_panel_rows) — build_plan is deterministic — so the ranks of a run
-/// share one immutable copy instead of each materialising its own. With
-/// thousands of modeled-engine fibers alive at once, per-rank copies cost
-/// gigabytes; the shared pair costs one rank's worth.
+/// The rank-invariant (plan, graph) pair. Every rank derives the same
+/// ExecutionPlan and TaskGraph from (spec, bcast_panel_rows) — build_plan
+/// is deterministic — so the ranks of a run share one immutable copy
+/// instead of each materialising its own. With thousands of modeled-engine
+/// fibers alive at once, per-rank copies cost gigabytes; the shared pair
+/// costs one rank's worth.
 struct SharedSchedule {
-  partition::PartitionSpec spec;
-  std::int64_t panel_rows = 0;
   std::shared_ptr<const ExecutionPlan> plan;
   std::shared_ptr<const taskgraph::TaskGraph> graph;
+};
+
+/// A process-wide cache entry: the pair plus the key it was built from.
+/// Ranks receive only the SharedSchedule handles — never a copy of the
+/// key's PartitionSpec, which would cost O(p) per rank.
+struct ScheduleEntry {
+  partition::PartitionSpec spec;
+  std::int64_t panel_rows = 0;
+  SharedSchedule schedule;
 };
 
 std::mutex& schedule_mutex() {
@@ -56,9 +70,9 @@ std::mutex& schedule_mutex() {
   return mu;
 }
 
-std::vector<SharedSchedule>& schedule_cache() {
-  static std::vector<SharedSchedule>& cache = *[] {
-    auto* storage = new std::vector<SharedSchedule>();
+std::vector<ScheduleEntry>& schedule_cache() {
+  static std::vector<ScheduleEntry>& cache = *[] {
+    auto* storage = new std::vector<ScheduleEntry>();
     sgpool::Pool::add_quiescent_hook([storage] {
       std::lock_guard<std::mutex> lock(schedule_mutex());
       storage->clear();
@@ -80,28 +94,28 @@ SharedSchedule shared_schedule(const partition::PartitionSpec& spec,
   const std::int64_t panel_rows = options.bcast_panel_rows;
   std::lock_guard<std::mutex> lock(schedule_mutex());
   auto& cache = schedule_cache();
-  for (const SharedSchedule& entry : cache) {
+  for (const ScheduleEntry& entry : cache) {
     if (entry.panel_rows == panel_rows && same_layout(entry.spec, spec)) {
       util::record_sched_lookup(/*hit=*/true);
-      return entry;
+      return entry.schedule;
     }
   }
   util::record_sched_lookup(/*hit=*/false);
-  SharedSchedule entry;
+  ScheduleEntry entry;
   entry.spec = spec;
   entry.panel_rows = panel_rows;
   auto plan = std::make_shared<ExecutionPlan>(build_plan(spec, options));
-  entry.graph = std::make_shared<const taskgraph::TaskGraph>(
+  entry.schedule.graph = std::make_shared<const taskgraph::TaskGraph>(
       taskgraph::build_summagen_graph(spec, *plan));
-  entry.plan = std::move(plan);
+  entry.schedule.plan = std::move(plan);
   // Entries are dropped at the pool's quiescent point (once per run);
   // recovery phases add one entry per re-partition. The FIFO cap covers
   // direct summagen_rank callers that never pass a quiescent point —
   // in-flight shared_ptrs keep evicted entries alive.
   constexpr std::size_t kMaxEntries = 16;
   if (cache.size() == kMaxEntries) cache.erase(cache.begin());
-  cache.push_back(entry);
-  return entry;
+  cache.push_back(std::move(entry));
+  return cache.back().schedule;
 }
 
 /// Rank-invariant geometry shared by every plan step executor.

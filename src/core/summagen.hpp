@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <functional>
 #include <set>
+#include <string>
 #include <utility>
 
 #include "src/core/dataplane.hpp"
@@ -57,6 +58,9 @@ enum class Scheduler {
 };
 
 const char* to_string(Scheduler scheduler);
+/// Inverse of to_string: "eager" | "taskgraph". Throws
+/// std::invalid_argument naming the accepted values otherwise.
+Scheduler parse_scheduler(const std::string& name);
 
 /// Execution options shared by all ranks of a run.
 struct SummaGenOptions {

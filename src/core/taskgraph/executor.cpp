@@ -10,25 +10,21 @@
 namespace summagen::core::taskgraph {
 namespace {
 
-bool member(const TaskNode& n, int rank) {
-  return std::find(n.owners.begin(), n.owners.end(), rank) != n.owners.end();
-}
-
 /// Post/complete machinery of the dataflow schedule: this rank's comm
 /// nodes, posted in ascending id up to `window` ahead and completed in the
 /// same order.
 class CommPipeline {
  public:
-  CommPipeline(const std::vector<TaskNode>& nodes, int rank, int window,
+  CommPipeline(const std::vector<TaskNode>& nodes,
+               const std::vector<int>& mine, int window,
                const ExecHooks& hooks)
       : nodes_(nodes),
         hooks_(hooks),
         depth_(window <= 0 ? std::numeric_limits<std::size_t>::max()
                            : static_cast<std::size_t>(window)) {
-    for (const TaskNode& n : nodes) {
-      if (!n.dropped && n.is_comm() && member(n, rank)) {
-        comms_.push_back(n.id);
-      }
+    for (int id : mine) {
+      const TaskNode& n = nodes[static_cast<std::size_t>(id)];
+      if (!n.dropped && n.is_comm()) comms_.push_back(id);
     }
   }
 
@@ -82,25 +78,26 @@ class CommPipeline {
 
 void run_program(const TaskGraph& graph, int rank, const ExecHooks& hooks) {
   const auto& nodes = graph.nodes();
-  for (std::size_t id = 0; id < nodes.size(); ++id) {
-    const TaskNode& n = nodes[id];
+  const std::vector<int>& mine = graph.rank_nodes(rank);
+  for (std::size_t i = 0; i < mine.size(); ++i) {
+    const TaskNode& n = nodes[static_cast<std::size_t>(mine[i])];
     if (n.dropped) continue;
     if (n.is_comm()) {
-      if (member(n, rank)) hooks.run_comm(n);
+      hooks.run_comm(n);
       continue;
     }
-    if (n.owner != rank) continue;
     if (n.kind == NodeKind::kGemm && hooks.run_fused) {
       // Fuse the consecutive chunk chain of this op into one whole-kernel
       // call — the historical eager executor's single charge per DGEMM.
       std::size_t count = 1;
-      while (id + count < nodes.size() &&
-             nodes[id + count].kind == NodeKind::kGemm &&
-             nodes[id + count].payload == n.payload) {
+      while (i + count < mine.size() &&
+             mine[i + count] == n.id + static_cast<int>(count)) {
+        const TaskNode& next = nodes[static_cast<std::size_t>(n.id) + count];
+        if (next.kind != NodeKind::kGemm || next.payload != n.payload) break;
         ++count;
       }
       hooks.run_fused(n, static_cast<int>(count));
-      id += count - 1;
+      i += count - 1;
       continue;
     }
     hooks.run_local(n);
@@ -110,33 +107,44 @@ void run_program(const TaskGraph& graph, int rank, const ExecHooks& hooks) {
 void run_dataflow(const TaskGraph& graph, int rank, int window,
                   const ExecHooks& hooks) {
   const auto& nodes = graph.nodes();
-  CommPipeline pipeline(nodes, rank, window, hooks);
+  const std::vector<int>& mine = graph.rank_nodes(rank);
+  CommPipeline pipeline(nodes, mine, window, hooks);
 
-  // Pending-predecessor counts over the nodes this rank can observe:
-  // its own local nodes and the comm nodes it participates in.
-  std::vector<int> npred(nodes.size(), 0);
-  std::vector<char> done(nodes.size(), 0);
+  // Per-rank state is indexed by a node's slot in `mine` — sized by the
+  // nodes this rank observes (its own local nodes and the comm nodes it
+  // participates in), never by the whole p-rank graph.
+  const auto slot = [&mine](int id) {
+    return static_cast<std::size_t>(
+        std::lower_bound(mine.begin(), mine.end(), id) - mine.begin());
+  };
+  const auto observed = [&](int id) {
+    return !nodes[static_cast<std::size_t>(id)].dropped &&
+           std::binary_search(mine.begin(), mine.end(), id);
+  };
+  const auto my_local = [&](const TaskNode& n) {
+    return !n.dropped && !n.is_comm() && n.owner == rank;
+  };
+
+  // Pending-predecessor counts of my local nodes over their observable
+  // predecessors.
+  std::vector<int> npred(mine.size(), 0);
+  std::vector<char> done(mine.size(), 0);
   std::set<int> ready;  // my local nodes with all dependencies satisfied
   std::size_t nlocal = 0;
-  for (const TaskNode& n : nodes) {
-    if (n.dropped || n.is_comm() || n.owner != rank) continue;
+  for (std::size_t i = 0; i < mine.size(); ++i) {
+    const TaskNode& n = nodes[static_cast<std::size_t>(mine[i])];
+    if (!my_local(n)) continue;
     ++nlocal;
-    int cnt = 0;
-    for (int p : n.preds) {
-      const TaskNode& pn = nodes[static_cast<std::size_t>(p)];
-      if (pn.dropped) continue;
-      if (pn.is_comm() ? member(pn, rank) : pn.owner == rank) ++cnt;
-    }
-    npred[static_cast<std::size_t>(n.id)] = cnt;
-    if (cnt == 0) ready.insert(n.id);
+    npred[i] = static_cast<int>(
+        std::count_if(n.preds.begin(), n.preds.end(), observed));
+    if (npred[i] == 0) ready.insert(n.id);
   }
 
   auto finish = [&](int id) {
-    done[static_cast<std::size_t>(id)] = 1;
+    done[slot(id)] = 1;
     for (int s : nodes[static_cast<std::size_t>(id)].succs) {
-      const TaskNode& sn = nodes[static_cast<std::size_t>(s)];
-      if (sn.dropped || sn.is_comm() || sn.owner != rank) continue;
-      if (--npred[static_cast<std::size_t>(s)] == 0) ready.insert(s);
+      if (!my_local(nodes[static_cast<std::size_t>(s)])) continue;
+      if (--npred[slot(s)] == 0) ready.insert(s);
     }
   };
 
@@ -162,9 +170,7 @@ void run_dataflow(const TaskGraph& graph, int rank, int window,
     const TaskNode& head =
         nodes[static_cast<std::size_t>(pipeline.next_id())];
     for (int p : head.preds) {
-      const TaskNode& pn = nodes[static_cast<std::size_t>(p)];
-      if (!pn.dropped && !pn.is_comm() && pn.owner == rank &&
-          !done[static_cast<std::size_t>(p)]) {
+      if (my_local(nodes[static_cast<std::size_t>(p)]) && !done[slot(p)]) {
         throw std::logic_error(
             "taskgraph: comm node ordered before its local predecessor");
       }

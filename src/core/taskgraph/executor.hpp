@@ -20,11 +20,16 @@
 // run's schedule — and with it the virtual timeline — is exactly
 // reproducible.
 //
-// Rank projection: the executor runs one rank. Local nodes execute iff
-// node.owner == rank; comm nodes iff rank is in node.owners; dependencies
-// on nodes this rank cannot observe (another rank's local work) are
-// treated as satisfied — cross-rank ordering is what the collectives
-// themselves enforce.
+// Rank projection: the executor runs one rank and walks only that rank's
+// slice of the graph, TaskGraph::rank_nodes(rank): its local nodes
+// (owner == rank) and the comm nodes it participates in (rank in owners),
+// in ascending id — the paper's row_contains_rank / column_contains_rank.
+// Every per-rank structure (the comm pipeline, pending-predecessor
+// counts, completion flags) is sized by that slice, the counts and flags
+// addressed by a node's position in it, so a rank of a p-rank graph costs
+// O(its own nodes), not O(graph). Dependencies on nodes outside the
+// slice (another rank's local work) are treated as satisfied — cross-rank
+// ordering is what the collectives themselves enforce.
 //
 // Node bodies and the shared pool: per-rank virtual time is a serial
 // resource, so the executor runs node bodies on the rank thread; the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <functional>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -15,6 +16,7 @@ int TaskGraph::add_local(NodeKind kind, int owner, int payload, int aux) {
   n.owner = owner;
   n.payload = payload;
   n.aux = aux;
+  rank_nodes_[owner].push_back(n.id);
   nodes_.push_back(std::move(n));
   return nodes_.back().id;
 }
@@ -30,6 +32,7 @@ int TaskGraph::add_comm(NodeKind kind, std::vector<int> owners, int payload,
   n.owners = std::move(owners);
   n.payload = payload;
   n.aux = aux;
+  for (int r : n.owners) rank_nodes_[r].push_back(n.id);
   nodes_.push_back(std::move(n));
   return nodes_.back().id;
 }
@@ -50,11 +53,22 @@ void TaskGraph::add_dep(int pred, int succ) {
   nodes_[static_cast<std::size_t>(succ)].preds.push_back(pred);
 }
 
+void TaskGraph::drop(int id) {
+  (void)node(id);  // throws on an out-of-range id
+  nodes_[static_cast<std::size_t>(id)].dropped = true;
+}
+
 const TaskNode& TaskGraph::node(int id) const {
   if (id < 0 || id >= static_cast<int>(nodes_.size())) {
     throw std::logic_error("TaskGraph: node id out of range");
   }
   return nodes_[static_cast<std::size_t>(id)];
+}
+
+const std::vector<int>& TaskGraph::rank_nodes(int rank) const {
+  static const std::vector<int> kNone;
+  const auto it = rank_nodes_.find(rank);
+  return it == rank_nodes_.end() ? kNone : it->second;
 }
 
 void TaskGraph::validate() const {
@@ -76,6 +90,36 @@ void TaskGraph::validate() const {
                                std::to_string(n.id));
       }
     }
+  }
+  // Rank index: rank_nodes(r) must equal the filter "owner == r or r in
+  // owners" in ascending id. Every listed node passing the filter, each
+  // list strictly ascending, and the list lengths summing to the number
+  // of (node, rank) memberships together imply that equality.
+  std::size_t memberships = 0;
+  for (const TaskNode& n : nodes_) {
+    if (std::adjacent_find(n.owners.begin(), n.owners.end(),
+                           std::greater_equal<int>()) != n.owners.end()) {
+      throw std::logic_error("TaskGraph: comm node " + std::to_string(n.id) +
+                             " owners not strictly ascending");
+    }
+    memberships += n.is_comm() ? n.owners.size() : 1;
+  }
+  std::size_t listed = 0;
+  for (const auto& [rank, ids] : rank_nodes_) {
+    listed += ids.size();
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      const TaskNode& n = node(ids[i]);
+      const bool observes =
+          n.is_comm() ? std::binary_search(n.owners.begin(), n.owners.end(),
+                                           rank)
+                      : n.owner == rank;
+      if (!observes || (i > 0 && ids[i - 1] >= ids[i])) {
+        throw std::logic_error("TaskGraph: rank index out of sync with nodes");
+      }
+    }
+  }
+  if (listed != memberships) {
+    throw std::logic_error("TaskGraph: rank index out of sync with nodes");
   }
   // Acyclicity: Kahn's algorithm must consume every node (dropped nodes
   // included — their edges are still present).
@@ -189,24 +233,24 @@ TaskGraph build_summagen_graph(const partition::PartitionSpec& spec,
 
 void prune_completed(TaskGraph& graph, const ExecutionPlan& plan,
                      const std::set<std::pair<int, int>>& done) {
-  auto& nodes = graph.nodes();
-  for (TaskNode& n : nodes) {
+  const auto& nodes = graph.nodes();
+  for (const TaskNode& n : nodes) {
     if (n.kind != NodeKind::kGemm) continue;
     const GemmOp& gop = plan.gemm_ops[static_cast<std::size_t>(n.payload)];
-    if (done.count({gop.bi, gop.bj}) != 0) n.dropped = true;
+    if (done.count({gop.bi, gop.bj}) != 0) graph.drop(n.id);
   }
   // A broadcast/copy survives iff some remaining DGEMM still reads it.
   // Every panel of row bi feeds a chunk of every DGEMM in row bi (a DGEMM
   // reads its whole row line), so this is exactly the historical rule
   // "keep an A op iff its row has a surviving DGEMM" (B: column).
-  for (TaskNode& n : nodes) {
+  for (const TaskNode& n : nodes) {
     if (n.kind != NodeKind::kBcast && n.kind != NodeKind::kCopy) continue;
     bool live_succ = false;
     for (int s : n.succs) {
       live_succ =
           live_succ || !nodes[static_cast<std::size_t>(s)].dropped;
     }
-    n.dropped = !live_succ;
+    if (!live_succ) graph.drop(n.id);
   }
 }
 

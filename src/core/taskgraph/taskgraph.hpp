@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <set>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -63,28 +64,46 @@ struct TaskNode {
 
 /// A DAG of TaskNodes. Ids are dense and assigned in construction order;
 /// construction order therefore IS the program (eager) order.
+///
+/// The graph also keeps a per-rank index of the nodes each rank observes,
+/// so an executor running one rank of a p-rank graph touches O(its own
+/// nodes) state rather than O(graph). Nodes are only ever appended and
+/// their ownership never changes, so the index cannot go stale.
 class TaskGraph {
  public:
   /// Adds a local node executed by world rank `owner`.
   int add_local(NodeKind kind, int owner, int payload, int aux = 0);
-  /// Adds a collective node over `owners` (ascending world ranks).
+  /// Adds a collective node over `owners` (strictly ascending world ranks).
   int add_comm(NodeKind kind, std::vector<int> owners, int payload,
                int aux = 0);
   /// Adds the edge pred -> succ. Both must already exist; duplicates and
   /// self-edges throw (they would corrupt the executors' pred counts).
   void add_dep(int pred, int succ);
+  /// Marks node `id` pruned (recovery): executors skip it, its id and
+  /// edges stay in place.
+  void drop(int id);
 
   const std::vector<TaskNode>& nodes() const { return nodes_; }
-  std::vector<TaskNode>& nodes() { return nodes_; }
   const TaskNode& node(int id) const;
   std::size_t size() const { return nodes_.size(); }
 
-  /// Structural invariants: edge symmetry, id sanity, acyclicity (Kahn
-  /// topological sort must consume every node). Throws std::logic_error.
+  /// Ids, ascending, of the nodes world rank `rank` observes: its local
+  /// nodes (owner == rank) and the comm nodes it participates in (rank in
+  /// owners). Dropped nodes stay listed. Empty for a rank with no nodes.
+  const std::vector<int>& rank_nodes(int rank) const;
+
+  /// Structural invariants: edge symmetry, id sanity, strictly ascending
+  /// comm owners, a rank index equal to the filter it caches, and
+  /// acyclicity (Kahn topological sort must consume every node). Throws
+  /// std::logic_error.
   void validate() const;
 
  private:
   std::vector<TaskNode> nodes_;
+  /// rank -> rank_nodes(rank). Sparse: a SUMMA step chain names only its
+  /// row, column and stack members out of the whole world. Hashed, since
+  /// building the p=2048 SummaGen graph appends ~260k entries.
+  std::unordered_map<int, std::vector<int>> rank_nodes_;
 };
 
 /// Builds the SummaGen graph from the per-rank identical plan: one kCopy

@@ -142,21 +142,22 @@ PartitionSpec assemble(std::int64_t n, const std::vector<Cell>& cells) {
   spec.subp.assign(static_cast<std::size_t>(spec.subplda) *
                        static_cast<std::size_t>(spec.subpldb),
                    0);
-  // The cells tile the square exactly, so every grid band lies in exactly
-  // one cell; locate by band midpoint.
-  for (int i = 0; i < spec.subplda; ++i) {
-    for (int j = 0; j < spec.subpldb; ++j) {
-      const std::int64_t rm = row_cuts[static_cast<std::size_t>(i)];
-      const std::int64_t cm = col_cuts[static_cast<std::size_t>(j)];
-      for (const Cell& cell : cells) {
-        if (rm >= cell.r0 && rm < cell.r0 + cell.h && cm >= cell.c0 &&
-            cm < cell.c0 + cell.w) {
-          spec.subp[static_cast<std::size_t>(i) *
-                        static_cast<std::size_t>(spec.subpldb) +
-                    static_cast<std::size_t>(j)] = cell.owner;
-          break;
-        }
-      }
+  // The cells tile the square exactly and every cell edge is a cut, so
+  // each cell covers a contiguous block of grid bands: paint that block.
+  const auto band = [](const std::vector<std::int64_t>& cuts,
+                       std::int64_t at) {
+    return static_cast<std::size_t>(
+        std::lower_bound(cuts.begin(), cuts.end(), at) - cuts.begin());
+  };
+  for (const Cell& cell : cells) {
+    const std::size_t i1 = band(row_cuts, cell.r0 + cell.h);
+    const std::size_t j0 = band(col_cuts, cell.c0);
+    const std::size_t j1 = band(col_cuts, cell.c0 + cell.w);
+    for (std::size_t i = band(row_cuts, cell.r0); i < i1; ++i) {
+      std::fill_n(spec.subp.begin() +
+                      static_cast<std::ptrdiff_t>(
+                          i * static_cast<std::size_t>(spec.subpldb) + j0),
+                  j1 - j0, cell.owner);
     }
   }
   return spec;

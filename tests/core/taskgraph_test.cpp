@@ -8,22 +8,31 @@
 //  * the SUMMA / 2.5D step chains have the expected shape (replication
 //    heads, write-after-read workspace edges, reduction tail);
 //  * both schedulers produce bit-identical numeric results and
-//    identical counters on the chain graphs (SUMMA and 2.5D).
+//    identical counters on the chain graphs (SUMMA and 2.5D);
+//  * the per-rank index lists exactly the nodes a rank observes, and the
+//    executor walking it makes the same hook calls, in the same order, as
+//    a whole-graph scan.
 #include "src/core/taskgraph/taskgraph.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "src/core/plan.hpp"
 #include "src/core/summa.hpp"
 #include "src/core/summa25d.hpp"
+#include "src/core/taskgraph/executor.hpp"
 #include "src/device/platform.hpp"
 #include "src/partition/areas.hpp"
+#include "src/partition/nrrp.hpp"
 #include "src/partition/shapes.hpp"
 #include "src/util/rng.hpp"
 
@@ -277,6 +286,246 @@ TEST(StepChainGraph, Summa25dAddsReplicationAndReduction) {
   ASSERT_EQ(red.preds.size(), 1u);
   EXPECT_EQ(g.node(red.preds.front()).kind, NodeKind::kGemm);
   EXPECT_EQ(g.node(red.preds.front()).payload, 1);
+}
+
+bool observes(const TaskNode& n, int rank) {
+  return n.owner == rank || std::find(n.owners.begin(), n.owners.end(),
+                                      rank) != n.owners.end();
+}
+
+/// Every world rank named by a node, plus one rank named by none.
+std::vector<int> graph_ranks(const TaskGraph& g) {
+  std::set<int> ranks;
+  for (const TaskNode& n : g.nodes()) {
+    if (n.is_comm()) {
+      ranks.insert(n.owners.begin(), n.owners.end());
+    } else {
+      ranks.insert(n.owner);
+    }
+  }
+  ranks.insert(*ranks.rbegin() + 1);
+  return {ranks.begin(), ranks.end()};
+}
+
+/// A graph under test, and whether its comm nodes may be posted ahead
+/// (the SummaGen graphs; the step chains' comm nodes have local
+/// predecessors, so their callers run them blocking).
+struct NamedGraph {
+  std::string name;
+  TaskGraph graph;
+  bool postable = true;
+};
+
+/// The paper shapes with and without panelled broadcasts, an NRRP p=64
+/// layout, a recovery-pruned graph, and the SUMMA and 2.5D step chains.
+std::vector<NamedGraph> graphs_under_test() {
+  std::vector<NamedGraph> out;
+  for (const auto shape : all_shapes()) {
+    const auto spec = shape_spec(shape);
+    for (const std::int64_t panel_rows : {std::int64_t{0}, std::int64_t{16}}) {
+      SummaGenOptions options;
+      options.bcast_panel_rows = panel_rows;
+      const ExecutionPlan plan = build_plan(spec, options);
+      out.push_back({std::string(partition::shape_name(shape)) + "/panel" +
+                         std::to_string(panel_rows),
+                     taskgraph::build_summagen_graph(spec, plan)});
+      if (shape == partition::Shape::kSquareCorner && panel_rows > 0) {
+        TaskGraph pruned = taskgraph::build_summagen_graph(spec, plan);
+        taskgraph::prune_completed(
+            pruned, plan,
+            {{plan.gemm_ops[0].bi, plan.gemm_ops[0].bj},
+             {plan.gemm_ops.back().bi, plan.gemm_ops.back().bj}});
+        out.push_back({"square_corner/panel16/pruned", std::move(pruned)});
+      }
+    }
+  }
+  const std::int64_t n = 512;
+  const auto nrrp = partition::nrrp_partition(
+      n, partition::partition_areas_cpm(n * n, std::vector<double>(64, 1.0)));
+  out.push_back({"nrrp/p64", taskgraph::build_summagen_graph(
+                                 nrrp, build_plan(nrrp, SummaGenOptions{}))});
+  out.push_back(
+      {"summa", taskgraph::build_summa_graph(3, 0, {0, 1}, {0, 2}), false});
+  out.push_back({"summa25d",
+                 taskgraph::build_summa25d_graph(2, 0, {0, 1}, {0, 2}, {0, 4}),
+                 false});
+  return out;
+}
+
+TEST(RankIndex, EqualsBruteForceFilter) {
+  for (const NamedGraph& ng : graphs_under_test()) {
+    const TaskGraph& g = ng.graph;
+    for (int r : graph_ranks(g)) {
+      std::vector<int> expect;
+      for (const TaskNode& n : g.nodes()) {
+        if (observes(n, r)) expect.push_back(n.id);
+      }
+      const std::vector<int>& got = g.rank_nodes(r);
+      EXPECT_EQ(got, expect) << ng.name << " rank " << r;
+      EXPECT_EQ(std::adjacent_find(got.begin(), got.end(),
+                                   std::greater_equal<int>()),
+                got.end())
+          << ng.name << " rank " << r << ": not strictly ascending";
+    }
+  }
+}
+
+TEST(RankIndex, ValidateRejectsUnsortedOwners) {
+  TaskGraph g;
+  g.add_comm(NodeKind::kBcast, {2, 0}, 0);
+  EXPECT_THROW(g.validate(), std::logic_error);
+  TaskGraph dup;
+  dup.add_comm(NodeKind::kBcast, {1, 1}, 0);
+  EXPECT_THROW(dup.validate(), std::logic_error);
+}
+
+/// The whole-graph scan the rank index replaced, kept as the schedule
+/// oracle: every rank visits every node and filters by ownership.
+void reference_run(const TaskGraph& graph, int rank, Scheduler schedule,
+                   int window, const taskgraph::ExecHooks& hooks) {
+  const auto& nodes = graph.nodes();
+  const auto member = [rank](const TaskNode& n) {
+    return std::find(n.owners.begin(), n.owners.end(), rank) !=
+           n.owners.end();
+  };
+  if (schedule == Scheduler::kEager) {
+    for (std::size_t id = 0; id < nodes.size(); ++id) {
+      const TaskNode& n = nodes[id];
+      if (n.dropped) continue;
+      if (n.is_comm()) {
+        if (member(n)) hooks.run_comm(n);
+        continue;
+      }
+      if (n.owner != rank) continue;
+      if (n.kind == NodeKind::kGemm && hooks.run_fused) {
+        std::size_t count = 1;
+        while (id + count < nodes.size() &&
+               nodes[id + count].kind == NodeKind::kGemm &&
+               nodes[id + count].payload == n.payload) {
+          ++count;
+        }
+        hooks.run_fused(n, static_cast<int>(count));
+        id += count - 1;
+        continue;
+      }
+      hooks.run_local(n);
+    }
+    return;
+  }
+
+  std::vector<int> comms;
+  for (const TaskNode& n : nodes) {
+    if (!n.dropped && n.is_comm() && member(n)) comms.push_back(n.id);
+  }
+  const std::size_t depth = window <= 0
+                                ? std::numeric_limits<std::size_t>::max()
+                                : static_cast<std::size_t>(window);
+  std::deque<sgmpi::Request> pending;
+  std::size_t next_post = 0, next_complete = 0;
+  const auto post_one = [&] {
+    const TaskNode& n = nodes[static_cast<std::size_t>(comms[next_post++])];
+    pending.push_back(hooks.post_comm ? hooks.post_comm(n)
+                                      : sgmpi::Request{});
+  };
+  const auto top_up = [&] {
+    while (next_post < comms.size() && pending.size() < depth) post_one();
+  };
+  const auto complete_next = [&] {
+    while (next_post <= next_complete) post_one();
+    const int id = comms[next_complete++];
+    sgmpi::Request r = std::move(pending.front());
+    pending.pop_front();
+    if (hooks.complete_comm) {
+      hooks.complete_comm(nodes[static_cast<std::size_t>(id)], r);
+    } else {
+      hooks.run_comm(nodes[static_cast<std::size_t>(id)]);
+    }
+    top_up();
+    return id;
+  };
+
+  std::vector<int> npred(nodes.size(), 0);
+  std::set<int> ready;
+  std::size_t nlocal = 0;
+  for (const TaskNode& n : nodes) {
+    if (n.dropped || n.is_comm() || n.owner != rank) continue;
+    ++nlocal;
+    int cnt = 0;
+    for (int p : n.preds) {
+      const TaskNode& pn = nodes[static_cast<std::size_t>(p)];
+      if (pn.dropped) continue;
+      if (pn.is_comm() ? member(pn) : pn.owner == rank) ++cnt;
+    }
+    npred[static_cast<std::size_t>(n.id)] = cnt;
+    if (cnt == 0) ready.insert(n.id);
+  }
+  const auto finish = [&](int id) {
+    for (int s : nodes[static_cast<std::size_t>(id)].succs) {
+      const TaskNode& sn = nodes[static_cast<std::size_t>(s)];
+      if (sn.dropped || sn.is_comm() || sn.owner != rank) continue;
+      if (--npred[static_cast<std::size_t>(s)] == 0) ready.insert(s);
+    }
+  };
+  top_up();
+  std::size_t executed = 0;
+  while (executed < nlocal || next_complete < comms.size()) {
+    if (!ready.empty()) {
+      const int id = *ready.begin();
+      ready.erase(ready.begin());
+      hooks.run_local(nodes[static_cast<std::size_t>(id)]);
+      ++executed;
+      finish(id);
+      continue;
+    }
+    ASSERT_LT(next_complete, comms.size()) << "reference deadlock";
+    finish(complete_next());
+  }
+}
+
+/// Hooks that log every call as "<call><node id>[x<fused length>]".
+taskgraph::ExecHooks recording_hooks(std::vector<std::string>& log,
+                                     bool postable) {
+  taskgraph::ExecHooks hooks;
+  hooks.run_local = [&log](const TaskNode& n) {
+    log.push_back("local" + std::to_string(n.id));
+  };
+  hooks.run_comm = [&log](const TaskNode& n) {
+    log.push_back("comm" + std::to_string(n.id));
+  };
+  hooks.run_fused = [&log](const TaskNode& n, int count) {
+    log.push_back("fused" + std::to_string(n.id) + "x" +
+                  std::to_string(count));
+  };
+  if (postable) {
+    hooks.post_comm = [&log](const TaskNode& n) {
+      log.push_back("post" + std::to_string(n.id));
+      return sgmpi::Request{};
+    };
+    hooks.complete_comm = [&log](const TaskNode& n, sgmpi::Request&) {
+      log.push_back("complete" + std::to_string(n.id));
+    };
+  }
+  return hooks;
+}
+
+TEST(RankIndex, ScheduleMatchesWholeGraphScan) {
+  for (const NamedGraph& ng : graphs_under_test()) {
+    for (const Scheduler schedule :
+         {Scheduler::kEager, Scheduler::kTaskGraph}) {
+      for (const int window : {0, 1, 2}) {
+        for (int r : graph_ranks(ng.graph)) {
+          std::vector<std::string> expect, got;
+          reference_run(ng.graph, r, schedule, window,
+                        recording_hooks(expect, ng.postable));
+          taskgraph::run_graph(ng.graph, r, schedule, window,
+                               recording_hooks(got, ng.postable));
+          EXPECT_EQ(got, expect)
+              << ng.name << " " << to_string(schedule) << " window "
+              << window << " rank " << r;
+        }
+      }
+    }
+  }
 }
 
 /// One numeric SUMMA run: gathered C plus every rank's report.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 
 #include "src/partition/areas.hpp"
@@ -136,6 +137,77 @@ TEST(Nrrp, ZeroAreaProcessorsAllowed) {
   spec.validate(3);
   EXPECT_EQ(spec.area_of(1), 0);
   EXPECT_EQ(spec.area_of(0) + spec.area_of(2), n * n);
+}
+
+/// FNV-1a over a layout's grid: band counts, band extents, owner grid.
+std::uint64_t layout_digest(const PartitionSpec& spec) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::int64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (static_cast<std::uint64_t>(v) >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  mix(spec.subplda);
+  mix(spec.subpldb);
+  for (std::int64_t v : spec.subph) mix(v);
+  for (std::int64_t v : spec.subpw) mix(v);
+  for (int owner : spec.subp) mix(owner);
+  return h;
+}
+
+TEST(Nrrp, LayoutUnchangedFromParent) {
+  // Digests pinned from the cell-scan assembly that band painting
+  // replaced: the grid, its band extents and every band's owner must come
+  // out identical for small, odd and cluster-scale p.
+  struct Pin {
+    int p;
+    std::uint64_t uniform, skewed, rect_only, hierarchical;
+  };
+  const Pin pins[] = {
+      {3, 0xf0aea091776a017cull, 0x95db31824aeb988bull,
+       0x9f664cf3bb24a666ull, 0x95db31824aeb988bull},
+      {7, 0x7af38340186da8ebull, 0xf4c55cde6931de5cull,
+       0xf4c55cde6931de5cull, 0xa46bbb79284298a5ull},
+      {64, 0xd61e83ce209f7665ull, 0x370c5f61411f9a0bull,
+       0x370c5f61411f9a0bull, 0x0fdb765b4fd26301ull},
+      {257, 0x9c69bc558c9c49f6ull, 0x16b7ee09023c5b25ull,
+       0x16b7ee09023c5b25ull, 0x733090748ab2c16eull},
+      {2048, 0xa2a0f0b789f4a8c5ull, 0x8b6d93571619b9b8ull,
+       0x8b6d93571619b9b8ull, 0x2178c1ed2c582aa4ull},
+  };
+  const std::int64_t n = 30720;
+  NrrpOptions rect_only;
+  rect_only.allow_non_rectangular = false;
+  for (const Pin& pin : pins) {
+    const auto p = static_cast<std::size_t>(pin.p);
+    // Speeds cycle 10, 9, 1: the 9:1 leaf pairs this creates take the
+    // corner layout (flat at p = 3, inside the nodes at every p), so
+    // non-rectangular zones are pinned too.
+    std::vector<double> speeds;
+    for (std::size_t i = 0; i < p; ++i) {
+      speeds.push_back(i % 3 == 2 ? 1.0 : 10.0 - static_cast<double>(i % 3));
+    }
+    const auto uniform =
+        partition_areas_cpm(n * n, std::vector<double>(p, 1.0));
+    const auto skewed = partition_areas_cpm(n * n, speeds);
+    // Group-major nodes of four ranks, the last one short when p is not a
+    // multiple of four.
+    std::vector<std::vector<std::int64_t>> by_node;
+    for (std::size_t i = 0; i < p; ++i) {
+      if (i % 4 == 0) by_node.emplace_back();
+      by_node.back().push_back(skewed[i]);
+    }
+    EXPECT_EQ(layout_digest(nrrp_partition(n, uniform)), pin.uniform)
+        << "uniform p=" << pin.p;
+    EXPECT_EQ(layout_digest(nrrp_partition(n, skewed)), pin.skewed)
+        << "skewed p=" << pin.p;
+    EXPECT_EQ(layout_digest(nrrp_partition(n, skewed, rect_only)),
+              pin.rect_only)
+        << "rect-only p=" << pin.p;
+    EXPECT_EQ(layout_digest(nrrp_hierarchical(n, by_node)), pin.hierarchical)
+        << "hierarchical p=" << pin.p;
+  }
 }
 
 TEST(Nrrp, RejectsBadInput) {
