@@ -53,7 +53,8 @@ int main(int argc, char** argv) {
   for (const auto& r : rows) {
     std::string areas;
     for (std::size_t i = 0; i < r.areas.size(); ++i) {
-      areas += (i ? "/" : "") + std::to_string(r.areas[i]);
+      if (i) areas += "/";
+      areas += std::to_string(r.areas[i]);
     }
     t.add_row({util::Table::num(r.slots), util::Table::num(r.step),
                util::Table::num(r.tcomp, 5),

@@ -44,30 +44,9 @@ void BM_Barrier(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 100);
 }
 
-void BM_SendRecv(benchmark::State& state) {
-  const auto count = static_cast<std::int64_t>(state.range(0));
-  Config config;
-  config.nranks = 2;
-  Runtime runtime(config);
-  std::vector<double> src(static_cast<std::size_t>(count), 1.0);
-  std::vector<double> dst(static_cast<std::size_t>(count), 0.0);
-  for (auto _ : state) {
-    runtime.run([&](Comm& world) {
-      if (world.rank() == 0) {
-        world.send(src.data(), count, 1, 7);
-      } else {
-        world.recv(dst.data(), count, 0, 7);
-      }
-    });
-  }
-  state.SetBytesProcessed(state.iterations() * count *
-                          static_cast<std::int64_t>(sizeof(double)));
-}
-
 }  // namespace
 
 BENCHMARK(BM_Bcast)->Arg(1024)->Arg(65536)->Arg(1 << 20);
 BENCHMARK(BM_Barrier)->Arg(2)->Arg(3)->Arg(8);
-BENCHMARK(BM_SendRecv)->Arg(1024)->Arg(1 << 20);
 
 BENCHMARK_MAIN();

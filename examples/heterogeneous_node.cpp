@@ -4,6 +4,7 @@
 //
 //   $ ./heterogeneous_node [--n 30720] [--shape square_rectangle]
 #include <iostream>
+#include <string>
 
 #include "src/core/runner.hpp"
 #include "src/util/cli.hpp"
@@ -58,7 +59,9 @@ int main(int argc, char** argv) {
   r.set_header({"rank", "device", "complete", "compute", "mpi", "idle",
                 "area", "gemms", "bcasts"});
   for (std::size_t k = 0; k < res.reports.size(); ++k) {
-    r.add_row({"P" + std::to_string(k),
+    std::string label = "P";
+    label += std::to_string(k);
+    r.add_row({label,
                platform.devices[k].name.substr(0, 10),
                util::Table::num(res.rank_exec_s[k], 3),
                util::Table::num(res.rank_comp_s[k], 3),

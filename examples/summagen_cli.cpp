@@ -59,8 +59,8 @@ void usage() {
       "                     is an alias)\n"
       "  --panel-rows R     broadcast panel rows, 0 = whole sub-partitions\n"
       "  --fault LIST       inject faults: <kind>@<t>:<rank>[x<arg>], e.g.\n"
-      "                     crash@0.5:1 | slow@0.5:1x4 | link@0.2:0x8 |\n"
-      "                     drop@0.1:2x3 (comma-separated list)\n"
+      "                     crash@0.5:1 | slow@0.5:1x4 | link@0.2:0x8\n"
+      "                     (comma-separated list)\n"
       "  --fault-detect S   failure-detection latency in seconds (0.05)\n"
       "  --drift LIST       time-varying device speeds:\n"
       "                     <kind>@<t>:<rank>[x<factor>][/<arg>], e.g.\n"

@@ -404,10 +404,7 @@ ExperimentResult run_pmm(const ExperimentConfig& config) {
           // here as PeerFailedError on every survivor, not on a subset.
           world.ft_commit();
           return;
-        } catch (const sgmpi::PeerFailedError& e) {
-          // Exhausted send retries are a delivery failure, not a peer loss:
-          // there is no agreed failure epoch to shrink around.
-          if (e.kind == sgmpi::FaultKind::kMessageDrop) throw;
+        } catch (const sgmpi::PeerFailedError&) {
           const sgmpi::ShrinkResult res = world.shrink();
           Phase* next = nullptr;
           {

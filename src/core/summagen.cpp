@@ -118,7 +118,9 @@ SharedSchedule shared_schedule(const partition::PartitionSpec& spec,
   return cache.back().schedule;
 }
 
-/// Rank-invariant geometry shared by every plan step executor.
+/// Per-rank geometry shared by every plan step executor. It holds the
+/// rank's only copy of the row/column offset vectors; summagen_rank sizes
+/// the WA/WB workspaces from them and then points `wa`/`wb` at the storage.
 struct Frame {
   const partition::PartitionSpec& spec;
   LocalData* data;      ///< nullptr on the modeled plane
@@ -133,21 +135,14 @@ struct Frame {
   std::uint64_t pack_ns = 0;
 
   Frame(const partition::PartitionSpec& spec_in, int rank, LocalData* data_in,
-        util::MatrixView wa_in, util::MatrixView wb_in,
         std::uint64_t pack_ns_in)
       : spec(spec_in),
         data(data_in),
-        wa(wa_in),
-        wb(wb_in),
         roff(spec_in.row_offsets()),
         coff(spec_in.col_offsets()),
         pack_ns(pack_ns_in) {
-    const auto [myi, block_lda] = spec.row_span(rank);
-    const auto [myj, block_ldb] = spec.col_span(rank);
-    (void)block_lda;
-    (void)block_ldb;
-    wa_base = roff[static_cast<std::size_t>(myi)];
-    wb_base = coff[static_cast<std::size_t>(myj)];
+    wa_base = roff[static_cast<std::size_t>(spec.row_span(rank).first)];
+    wb_base = coff[static_cast<std::size_t>(spec.col_span(rank).first)];
   }
 
   /// Destination of panel rows [op.p0, op.p0 + op.rows) of `op`'s payload
@@ -387,10 +382,9 @@ RankReport summagen_rank(sgmpi::Comm& world,
         "summagen_rank: pass nullptr for the modeled plane");
   }
   const int rank = world.rank();
-  const auto roff = spec.row_offsets();
-  const auto coff = spec.col_offsets();
-  const auto [myi, block_lda] = spec.row_span(rank);
-  const auto [myj, block_ldb] = spec.col_span(rank);
+  Frame frame(spec, rank, data,
+              options.pack_namespace != 0 ? options.pack_namespace
+                                          : world.context_uid());
 
   RankReport report;
 
@@ -401,18 +395,17 @@ RankReport summagen_rank(sgmpi::Comm& world,
   // which keeps an A/B op whenever any surviving DGEMM reads its
   // row/column.
   util::PooledBuffer wa_store, wb_store;
-  util::MatrixView wa, wb;
   if (data != nullptr) {
+    const auto [myi, block_lda] = spec.row_span(rank);
+    const auto [myj, block_ldb] = spec.col_span(rank);
     const std::int64_t wa_rows =
-        roff[static_cast<std::size_t>(myi + block_lda)] -
-        roff[static_cast<std::size_t>(myi)];
+        frame.roff[static_cast<std::size_t>(myi + block_lda)] - frame.wa_base;
     const std::int64_t wb_cols =
-        coff[static_cast<std::size_t>(myj + block_ldb)] -
-        coff[static_cast<std::size_t>(myj)];
+        frame.coff[static_cast<std::size_t>(myj + block_ldb)] - frame.wb_base;
     wa_store = util::BufferPool::instance().acquire(wa_rows * spec.n);
     wb_store = util::BufferPool::instance().acquire(spec.n * wb_cols);
-    wa = util::MatrixView(wa_store.data(), wa_rows, spec.n, spec.n);
-    wb = util::MatrixView(wb_store.data(), spec.n, wb_cols, wb_cols);
+    frame.wa = util::MatrixView(wa_store.data(), wa_rows, spec.n, spec.n);
+    frame.wb = util::MatrixView(wb_store.data(), spec.n, wb_cols, wb_cols);
   }
 
   // Fetch the rank-invariant plan + dependency task graph (shared across
@@ -430,9 +423,6 @@ RankReport summagen_rank(sgmpi::Comm& world,
     graph = &pruned;
   }
 
-  const Frame frame(spec, rank, data, wa, wb,
-                    options.pack_namespace != 0 ? options.pack_namespace
-                                                : world.context_uid());
   const double hidden0 = world.clock().hidden_comm_seconds();
 
   // Whole-kernel costs per GemmOp, computed on first use: chunk nodes are

@@ -135,7 +135,8 @@ Platform Platform::homogeneous(int nprocs, double flops_per_s) {
   p.mpi_link = trace::HockneyParams{5.0e-6, 1.0 / 7.0e9};
   for (int i = 0; i < nprocs; ++i) {
     DeviceSpec d;
-    d.name = "P" + std::to_string(i);
+    d.name = "P";
+    d.name += std::to_string(i);
     d.peak_flops = flops_per_s;
     d.asymptotic_efficiency = 1.0;
     d.contention_factor = 1.0;
@@ -158,7 +159,8 @@ Platform Platform::synthetic(const std::vector<double>& speeds,
   for (double s : speeds) {
     if (s <= 0.0) throw std::invalid_argument("synthetic: non-positive speed");
     DeviceSpec d;
-    d.name = "P" + std::to_string(i++);
+    d.name = "P";
+    d.name += std::to_string(i++);
     d.peak_flops = s * unit_flops;
     d.asymptotic_efficiency = 1.0;
     d.contention_factor = 1.0;

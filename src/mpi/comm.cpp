@@ -63,13 +63,6 @@ double Comm::modeled_bcast_cost(std::int64_t bytes, int q) const {
   return trace::bcast_algo_cost(st.link, bytes, q, algo);
 }
 
-const trace::HockneyParams& Comm::link_to(int dest) const {
-  const int me = world_rank();
-  const int other = world_ranks()[static_cast<std::size_t>(dest)];
-  if (ctx_->node_of(me) == ctx_->node_of(other)) return ctx_->config.link;
-  return ctx_->config.internode_link;
-}
-
 void Comm::barrier() {
   auto& st = ctx_->state(state_index_);
   const int q = size();

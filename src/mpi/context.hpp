@@ -133,23 +133,6 @@ struct CommState {
                                    ///< ranks; summed in ascending order)
 };
 
-/// Eagerly-buffered point-to-point message.
-struct Message {
-  std::size_t comm_state = 0;  ///< matching is per communicator
-  int src_comm_rank = 0;
-  int tag = 0;
-  std::int64_t bytes = 0;
-  double sender_entry_vtime = 0.0;
-  std::vector<std::byte> payload;  ///< empty in modeled-only transfers
-};
-
-/// Per-world-rank receive queue.
-struct Mailbox {
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::deque<Message> queue;
-};
-
 }  // namespace summagen::sgmpi::detail
 
 namespace summagen::sgmpi {
@@ -170,8 +153,7 @@ class Context {
   explicit Context(Config config_in)
       : config(std::move(config_in)),
         clocks(static_cast<std::size_t>(config.nranks)),
-        event_log(config.record_events),
-        mailboxes(static_cast<std::size_t>(config.nranks)) {
+        event_log(config.record_events) {
     if (!config.node_of.empty() &&
         config.node_of.size() != static_cast<std::size_t>(config.nranks)) {
       throw std::invalid_argument("sgmpi: node_of size != nranks");
@@ -186,8 +168,7 @@ class Context {
     subgroup_cache.emplace(std::move(world), 0);
     if (!config.faults.empty() || config.adaptive) {
       faults = std::make_unique<detail::FaultRuntime>(
-          config.faults, config.nranks, config.fault_detect_s,
-          config.max_send_attempts, config.send_retry_backoff_s);
+          config.faults, config.nranks, config.fault_detect_s);
       faults->on_trigger = [this] { notify_all_waiters(); };
       faults->fabric_reset = [this] { reset_fabric(); };
     }
@@ -262,47 +243,38 @@ class Context {
     }
   }
 
-  /// Wakes every blocked wait in the runtime (meetings, async-collective
-  /// waiters, mailbox receivers) so they re-run their unwind check.
+  /// Wakes every blocked wait in the runtime (meetings and async-collective
+  /// waiters) so they re-run their unwind check.
   void notify_all_waiters() {
-    {
-      std::lock_guard<std::mutex> lock(states_mutex);
-      for (auto& st : states) {
-        st.meeting.notify();
-        st.async_cv.notify_all();
-      }
+    std::lock_guard<std::mutex> lock(states_mutex);
+    for (auto& st : states) {
+      st.meeting.notify();
+      st.async_cv.notify_all();
     }
-    for (auto& box : mailboxes) box.cv.notify_all();
   }
 
   /// Resets all communicator fabric to its idle state: in-flight async
-  /// slots, posting sequence counters, meeting scratch, and mailboxes.
+  /// slots, posting sequence counters, and meeting scratch.
   /// Called by the shrink finaliser while every live rank is parked in the
   /// shrink gate (so nothing is mid-operation) — unwound ranks leave
   /// divergent sequence counters and orphaned slots behind, which would
   /// mismatch the first post-recovery collective.
   void reset_fabric() {
-    {
-      std::lock_guard<std::mutex> lock(states_mutex);
-      for (auto& st : states) {
-        {
-          std::lock_guard<std::mutex> async_lock(st.async_mutex);
-          st.async_slots.clear();
-          std::fill(st.next_post_seq.begin(), st.next_post_seq.end(), 0);
-          st.entry_max = 0.0;
-          st.op_complete = 0.0;
-          st.reduce_acc = 0.0;
-          st.reduce_started = false;
-          st.gather_buf.clear();
-          st.reduce_buf.clear();
-          st.reduce_ranks.clear();
-        }
-        st.meeting.reset();
+    std::lock_guard<std::mutex> lock(states_mutex);
+    for (auto& st : states) {
+      {
+        std::lock_guard<std::mutex> async_lock(st.async_mutex);
+        st.async_slots.clear();
+        std::fill(st.next_post_seq.begin(), st.next_post_seq.end(), 0);
+        st.entry_max = 0.0;
+        st.op_complete = 0.0;
+        st.reduce_acc = 0.0;
+        st.reduce_started = false;
+        st.gather_buf.clear();
+        st.reduce_buf.clear();
+        st.reduce_ranks.clear();
       }
-    }
-    for (auto& box : mailboxes) {
-      std::lock_guard<std::mutex> lock(box.mutex);
-      box.queue.clear();
+      st.meeting.reset();
     }
   }
 
@@ -316,8 +288,6 @@ class Context {
   std::mutex states_mutex;
   std::deque<detail::CommState> states;  ///< stable addresses
   std::map<std::vector<int>, std::size_t> subgroup_cache;
-
-  std::vector<detail::Mailbox> mailboxes;
 };
 
 }  // namespace summagen::sgmpi

@@ -6,10 +6,10 @@
 // modeled engine replaces them with cooperative fibers: each rank body runs
 // unchanged on a stackful coroutine (ucontext), and one scheduler thread
 // resumes the fibers round-robin in rank order. A rank that would block on a
-// peer (rendezvous, async-slot wait, mailbox recv, shrink/commit gate)
-// yields back to the scheduler instead of sleeping on a condition variable,
-// so the whole parallel region is a deterministic single-threaded event loop
-// over virtual time.
+// peer (rendezvous, async-slot wait, shrink/commit gate) yields back to the
+// scheduler instead of sleeping on a condition variable, so the whole
+// parallel region is a deterministic single-threaded event loop over virtual
+// time.
 //
 // Determinism: fibers are resumed in ascending rank order every sweep, and
 // all cross-rank arithmetic in the runtime is arrival-order independent (max

@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 
 #include "src/mpi/engine.hpp"
 
@@ -26,8 +25,6 @@ const char* fault_kind_name(FaultKind kind) {
       return "slowdown";
     case FaultKind::kLinkSlowdown:
       return "link-slowdown";
-    case FaultKind::kMessageDrop:
-      return "message-drop";
     case FaultKind::kDrift:
       return "drift";
   }
@@ -39,7 +36,7 @@ FaultPlan parse_fault_plan(const std::string& text) {
   const auto fail = [&](const std::string& item, const std::string& why) {
     throw std::invalid_argument("parse_fault_plan: '" + item + "': " + why +
                                 " (expected <kind>@<t>:<rank>[x<arg>], "
-                                "kind = crash|slow|link|drop)");
+                                "kind = crash|slow|link)");
   };
   std::size_t pos = 0;
   while (pos <= text.size()) {
@@ -76,9 +73,6 @@ FaultPlan parse_fault_plan(const std::string& text) {
     } else if (kind == "link") {
       ev.kind = FaultKind::kLinkSlowdown;
       ev.factor = 2.0;
-    } else if (kind == "drop") {
-      ev.kind = FaultKind::kMessageDrop;
-      ev.drop_count = 1;
     } else {
       fail(item, "unknown kind '" + kind + "'");
     }
@@ -89,11 +83,7 @@ FaultPlan parse_fault_plan(const std::string& text) {
       ev.rank = std::stoi(rank, &used);
       if (used != rank.size()) throw std::invalid_argument(rank);
       if (!arg.empty()) {
-        if (ev.kind == FaultKind::kMessageDrop) {
-          ev.drop_count = std::stoi(arg, &used);
-        } else {
-          ev.factor = std::stod(arg, &used);
-        }
+        ev.factor = std::stod(arg, &used);
         if (used != arg.size()) throw std::invalid_argument(arg);
       }
     } catch (const std::exception&) {
@@ -107,12 +97,9 @@ FaultPlan parse_fault_plan(const std::string& text) {
 
 namespace detail {
 
-FaultRuntime::FaultRuntime(FaultPlan plan, int nranks, double detect_s,
-                           int max_send_attempts, double retry_backoff_s)
+FaultRuntime::FaultRuntime(FaultPlan plan, int nranks, double detect_s)
     : nranks_(nranks),
       detect_s_(detect_s),
-      max_send_attempts_(max_send_attempts),
-      retry_backoff_s_(retry_backoff_s),
       dead_(static_cast<std::size_t>(nranks), false),
       shrink_arrived_(static_cast<std::size_t>(nranks), false),
       commit_arrived_(static_cast<std::size_t>(nranks), false) {
@@ -128,9 +115,6 @@ FaultRuntime::FaultRuntime(FaultPlan plan, int nranks, double detect_s,
          e.kind == FaultKind::kLinkSlowdown) &&
         e.factor <= 0.0) {
       throw std::invalid_argument("sgmpi: fault slowdown factor must be > 0");
-    }
-    if (e.kind == FaultKind::kMessageDrop && e.drop_count < 1) {
-      throw std::invalid_argument("sgmpi: fault drop_count must be >= 1");
     }
     EventState s;
     s.event = e;
@@ -159,11 +143,6 @@ bool FaultRuntime::trigger_due_locked(int rank, double vtime) {
         // Non-interrupting: active from now on, settled immediately.
         s.phase = EventState::Phase::kHandled;
         s.handled_vtime = vtime;
-        break;
-      case FaultKind::kMessageDrop:
-        s.phase = EventState::Phase::kHandled;
-        s.handled_vtime = vtime;
-        s.drops_left = s.event.drop_count;
         break;
       case FaultKind::kDrift:
         // Normally raised dynamically (raise_drift); a planned kDrift event
@@ -282,37 +261,6 @@ double FaultRuntime::link_factor(int rank, double vtime) {
   return factor;
 }
 
-double FaultRuntime::send_attempt_penalty(int rank, double vtime,
-                                          double base_cost) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  double penalty = 0.0;
-  int attempts = 1;  // the attempt that finally lands
-  for (EventState& s : events_) {
-    if (s.event.rank != rank || s.event.kind != FaultKind::kMessageDrop)
-      continue;
-    if (s.phase == EventState::Phase::kPending && vtime >= s.event.at_vtime) {
-      s.phase = EventState::Phase::kHandled;
-      s.trigger_vtime = vtime;
-      s.handled_vtime = vtime;
-      s.drops_left = s.event.drop_count;
-    }
-    while (s.drops_left > 0) {
-      --s.drops_left;
-      ++attempts;
-      if (attempts > max_send_attempts_) {
-        // Retries exhausted: the sender's link is effectively down. This is
-        // not an agreed failure epoch — it unwinds the run like any other
-        // rank error.
-        throw PeerFailedError(rank, FaultKind::kMessageDrop, vtime + penalty);
-      }
-      // Wasted attempt plus exponential backoff (1x, 2x, 4x, ... the base).
-      penalty += base_cost +
-                 retry_backoff_s_ * std::pow(2.0, static_cast<double>(attempts - 2));
-    }
-  }
-  return penalty;
-}
-
 ShrinkResult FaultRuntime::shrink_arrive(int rank, double entry_vtime,
                                          double poll_interval_s) {
   std::unique_lock<std::mutex> lock(mutex_);
@@ -324,9 +272,9 @@ ShrinkResult FaultRuntime::shrink_arrive(int rank, double entry_vtime,
   while (shrink_gen_ == my_gen) {
     if (!shrink_finalizing_ && all_live_arrived_locked(shrink_arrived_)) {
       // First observer of completion finalises: reset the communicator
-      // fabric (unwound ranks left slots, sequence counters, and mailboxes
-      // in divergent states), then settle every triggered event. The reset
-      // takes communicator locks, so it runs without ours; everyone else is
+      // fabric (unwound ranks left slots and sequence counters in divergent
+      // states), then settle every triggered event. The reset takes
+      // communicator locks, so it runs without ours; everyone else is
       // parked here until the generation bumps.
       shrink_finalizing_ = true;
       lock.unlock();

@@ -1,18 +1,18 @@
 // Deterministic fault injection for the sgmpi runtime.
 //
-// A FaultPlan schedules per-rank events at *virtual-clock* times: transient
-// message drops, link slowdowns, rank slowdowns, and rank crashes. Events
-// trigger when the victim rank's own virtual clock reaches `at_vtime`, which
-// keeps injection independent of real-thread interleaving: the same plan on
-// the same workload always fails at the same point of the virtual execution.
+// A FaultPlan schedules per-rank events at *virtual-clock* times: link
+// slowdowns, rank slowdowns, and rank crashes. Events trigger when the victim
+// rank's own virtual clock reaches `at_vtime`, which keeps injection
+// independent of real-thread interleaving: the same plan on the same workload
+// always fails at the same point of the virtual execution.
 //
 // Interrupting events (crash, rank slowdown) unwind every live rank with a
 // typed error so the caller can run ULFM-style recovery: the victim of a
 // crash throws RankCrashedError, every other live rank observes the failure
 // at its next runtime operation (or inside a blocked wait, which polls the
 // fault epoch) and throws PeerFailedError. Survivors then agree on the
-// failure epoch via Comm::shrink(). Non-interrupting events (link slowdown,
-// message drop) only perturb the victim's modeled costs.
+// failure epoch via Comm::shrink(). The non-interrupting link slowdown only
+// perturbs the victim's modeled broadcast costs.
 //
 // When the plan is empty the runtime takes none of these paths — the
 // fault-free execution is bit-identical, in results and virtual timing, to a
@@ -37,7 +37,6 @@ enum class FaultKind {
   kCrash,         ///< rank dies; survivors shrink and re-partition
   kSlowdown,      ///< rank's compute slows by `factor`; re-partition, no shrink
   kLinkSlowdown,  ///< rank's link costs scale by `factor`; no unwind
-  kMessageDrop,   ///< rank's next `drop_count` sends are dropped and retried
   /// Dynamic event raised at runtime by `Comm::raise_drift()` when a rank's
   /// drift detector confirms sustained load drift (never scheduled by a
   /// plan). Unlike crash/slowdown it does NOT interrupt peers mid-graph:
@@ -58,7 +57,6 @@ struct FaultEvent {
   int rank = 0;
   double at_vtime = 0.0;
   double factor = 1.0;  ///< slowdown multiplier (kSlowdown / kLinkSlowdown)
-  int drop_count = 1;   ///< consecutive dropped send attempts (kMessageDrop)
 };
 
 struct FaultPlan {
@@ -72,11 +70,10 @@ struct FaultPlan {
 ///   crash@0.5:1      rank 1 crashes at virtual time 0.5 s
 ///   slow@0.5:1x4     rank 1 computes 4x slower from t = 0.5 s
 ///   link@0.2:0x8     rank 0's link costs scale by 8x from t = 0.2 s
-///   drop@0.1:2x3     rank 2's next 3 sends after t = 0.1 s are dropped
 ///
-/// `x<arg>` defaults to factor 2.0 (slow/link) or one drop (drop) and is
-/// rejected for crash. Throws std::invalid_argument on malformed input;
-/// rank-range validation happens later, in the Runtime constructor.
+/// `x<arg>` is the factor for slow/link (default 2.0) and is rejected for
+/// crash. Throws std::invalid_argument on malformed input; rank-range
+/// validation happens later, in the Runtime constructor.
 FaultPlan parse_fault_plan(const std::string& text);
 
 /// Thrown on every live rank when a peer crashes or degrades past tolerance.
@@ -131,15 +128,14 @@ namespace detail {
 /// from wait loops.
 class FaultRuntime {
  public:
-  FaultRuntime(FaultPlan plan, int nranks, double detect_s,
-               int max_send_attempts, double retry_backoff_s);
+  FaultRuntime(FaultPlan plan, int nranks, double detect_s);
 
   /// Called once by the Runtime: wakes every blocked wait in the context so
   /// a freshly-triggered failure is observed promptly.
   std::function<void()> on_trigger;
   /// Called by the shrink finaliser (no FaultRuntime lock held) to reset
-  /// communicator fabric — async slots, sequence counters, meetings,
-  /// mailboxes — before survivors resume.
+  /// communicator fabric — async slots, sequence counters, meetings —
+  /// before survivors resume.
   std::function<void()> fabric_reset;
 
   /// Fault check for `rank` at its current virtual time: triggers this
@@ -162,13 +158,6 @@ class FaultRuntime {
   /// Arms due link-slowdown events for `rank` and returns the product of
   /// the active factors (1.0 when none).
   double link_factor(int rank, double vtime);
-
-  /// Message-drop handling for one send posted by `rank` at cost
-  /// `base_cost`: arms due drop events, consumes armed drops as failed
-  /// attempts (each charging the wasted attempt plus exponential backoff),
-  /// and returns the total retry penalty. Throws PeerFailedError if the
-  /// attempt cap is exceeded.
-  double send_attempt_penalty(int rank, double vtime, double base_cost);
 
   /// Registers a confirmed-drift event for `rank` at virtual time `vtime`
   /// (already triggered — there is no pending phase) and wakes blocked
@@ -201,7 +190,6 @@ class FaultRuntime {
     double trigger_vtime = -1.0;
     double first_detect_vtime = -1.0;
     double handled_vtime = -1.0;
-    int drops_left = 0;  ///< armed, not-yet-consumed drops (kMessageDrop)
   };
 
   bool interrupting(const EventState& s) const {
@@ -224,8 +212,6 @@ class FaultRuntime {
 
   const int nranks_;
   const double detect_s_;
-  const int max_send_attempts_;
-  const double retry_backoff_s_;
 
   mutable std::mutex mutex_;
   std::condition_variable cv_;

@@ -4,8 +4,10 @@
 // paper runs SummaGen with one MPI process per abstract processor on a
 // single node; here each rank is a `std::thread`, and the primitives the
 // paper's code uses (communicators, sub-communicators over the ranks of a
-// sub-partition row/column, `MPI_Bcast`, point-to-point) are implemented
-// over shared memory with rendezvous synchronisation.
+// sub-partition row/column, `MPI_Bcast`) are implemented over shared memory
+// with rendezvous synchronisation. The runtime is collectives-only:
+// broadcasts, reductions, barrier and gather — SummaGen, SUMMA and 2.5D move
+// no data point-to-point.
 //
 // Timing: every operation advances the calling rank's *virtual clock* using
 // the Hockney model (Section III-A of the paper). Collectives are
@@ -103,9 +105,6 @@ struct Config {
   /// shrink/ft_commit agreement gates for online re-partitioning. False
   /// with an empty plan = the exact fault-free execution path.
   bool adaptive = false;
-  /// Send retry policy under injected message drops.
-  int max_send_attempts = 5;
-  double send_retry_backoff_s = 1.0e-4;  ///< first-retry virtual backoff
 };
 
 /// Thrown on the sibling ranks when one rank aborts with an exception, so
@@ -117,14 +116,14 @@ class AbortedError : public std::runtime_error {
 
 /// Handle to one in-flight non-blocking operation (MPI_Request analogue).
 ///
-/// Obtained from `Comm::ibcast_bytes` / `isend_bytes` / `irecv_bytes` and
-/// completed with `Comm::wait` / `waitall` / `test` on the same Comm. A
-/// default-constructed Request is null: waiting on it is a no-op. Requests
-/// are move-only; destroying a pending request without completing it is a
-/// programming error — the peers of a collective would block forever
-/// waiting for this rank's completion — and fails loudly: the destructor
-/// logs the op kind and communicator and calls std::abort(). Destruction
-/// during exception unwind is tolerated (the run is already tearing down).
+/// Obtained from `Comm::ibcast_bytes` / `ibcast_panel` and completed with
+/// `Comm::wait` / `waitall` / `test` on the same Comm. A default-constructed
+/// Request is null: waiting on it is a no-op. Requests are move-only;
+/// destroying a pending request without completing it is a programming
+/// error — the peers of a collective would block forever waiting for this
+/// rank's completion — and fails loudly: the destructor logs the op kind
+/// and communicator and calls std::abort(). Destruction during exception
+/// unwind is tolerated (the run is already tearing down).
 class Request {
  public:
   Request() = default;
@@ -140,17 +139,15 @@ class Request {
  private:
   friend class Comm;
 
-  enum class Kind { kBcastRecv, kBcastSendRoot, kSend, kRecv };
+  enum class Kind { kBcastRecv, kBcastSendRoot };
 
   struct Op {
     Kind kind = Kind::kBcastRecv;
     std::size_t state_index = 0;  ///< communicator the op was posted on
     std::uint64_t seq = 0;        ///< per-communicator matching sequence
-    void* recv_buf = nullptr;     ///< receiver payload (bcast/recv)
+    void* recv_buf = nullptr;     ///< receiver payload
     std::int64_t bytes = 0;
-    int root = -1;        ///< communicator rank of the bcast root
-    int peer = -1;        ///< dest/source for point-to-point
-    int tag = 0;
+    int root = -1;                ///< communicator rank of the bcast root
     double cost = 0.0;        ///< modeled Hockney cost of the operation
     double lane_start = 0.0;  ///< comm-lane slot reserved at post time
     bool blocking = false;    ///< posted by a blocking wrapper (event kind)
@@ -194,12 +191,6 @@ class Comm {
   /// Implemented as ibcast_bytes + wait.
   double bcast_bytes(void* data, std::int64_t bytes, int root);
 
-  /// Root-side blocking broadcast over a read-only buffer: semantically
-  /// identical to `bcast_bytes` called on the root, but const-correct — the
-  /// runtime only ever reads the root's payload. The calling rank must be
-  /// `root`.
-  double bcast_send_bytes(const void* data, std::int64_t bytes, int root);
-
   /// Typed convenience over bcast_bytes.
   double bcast(double* data, std::int64_t count, int root) {
     return bcast_bytes(data, count * static_cast<std::int64_t>(sizeof(double)),
@@ -214,11 +205,6 @@ class Comm {
   /// posted request. The root's buffer must stay valid until its own wait
   /// returns (which also guarantees every receiver has copied).
   Request ibcast_bytes(void* data, std::int64_t bytes, int root);
-
-  /// Root-side non-blocking broadcast over a read-only buffer (the
-  /// const-correct path for broadcasting owned, in-place data). The calling
-  /// rank must be `root`.
-  Request ibcast_send_bytes(const void* data, std::int64_t bytes, int root);
 
   /// Strided (zero-copy) broadcast of a rows x cols double panel from
   /// communicator rank `root`. The root passes `src` — a view of its owned
@@ -238,20 +224,6 @@ class Comm {
   Request ibcast_panel(util::ConstMatrixView src, util::MatrixView dst,
                        int root);
 
-  /// Non-blocking point-to-point. isend is buffered-eager like send_bytes
-  /// (the payload is snapshotted at post time); irecv records the post time
-  /// and matches at completion.
-  Request isend_bytes(const void* data, std::int64_t bytes, int dest, int tag);
-  Request irecv_bytes(void* data, std::int64_t bytes, int source, int tag);
-
-  /// Strided point-to-point: `isend_panel` snapshots the view row-wise into
-  /// the eager buffer at post time (the same single staging copy a
-  /// contiguous isend makes); `irecv_panel` scatters the payload into `dst`
-  /// at completion. Wire size and modeled cost equal a contiguous transfer
-  /// of rows*cols doubles; the matching peer may use the flat byte calls.
-  Request isend_panel(util::ConstMatrixView src, int dest, int tag);
-  Request irecv_panel(util::MatrixView dst, int source, int tag);
-
   /// Blocks until `request` completes; null requests return immediately.
   /// Returns the modeled cost charged to this rank (0 for null/trivial
   /// operations). The request becomes null.
@@ -265,24 +237,6 @@ class Comm {
   /// now, false if it would have to block on a peer. Null requests test
   /// true.
   bool test(Request& request);
-
-  /// Blocking point-to-point (eager buffered send, matching by source+tag;
-  /// messages between a (src,dst,tag) triple are delivered in order).
-  /// Implemented as i* + wait.
-  void send_bytes(const void* data, std::int64_t bytes, int dest, int tag);
-  void recv_bytes(void* data, std::int64_t bytes, int source, int tag);
-  void send(const double* data, std::int64_t count, int dest, int tag) {
-    send_bytes(data, count * static_cast<std::int64_t>(sizeof(double)), dest,
-               tag);
-  }
-  void recv(double* data, std::int64_t count, int source, int tag) {
-    recv_bytes(data, count * static_cast<std::int64_t>(sizeof(double)), source,
-               tag);
-  }
-
-  /// Blocking strided point-to-point (isend_panel/irecv_panel + wait).
-  void send_panel(util::ConstMatrixView src, int dest, int tag);
-  void recv_panel(util::MatrixView dst, int source, int tag);
 
   /// Allreduce of one double with max/sum combiners.
   double allreduce_max(double value);
@@ -319,7 +273,7 @@ class Comm {
   /// ULFM-style agreement after a failure: every live rank that caught
   /// PeerFailedError calls shrink(); it blocks until all live ranks arrive,
   /// settles every triggered fault as handled, resets communicator fabric
-  /// (in-flight slots, sequence counters, mailboxes), and returns the
+  /// (in-flight slots, sequence counters, meeting scratch), and returns the
   /// survivor list plus the agreed virtual time. Collective over all live
   /// ranks; requires a non-empty fault plan.
   ShrinkResult shrink();
@@ -353,9 +307,6 @@ class Comm {
   /// Hockney parameters used by this communicator: the intra-node fabric
   /// if all members share a node, the inter-node link otherwise.
   const trace::HockneyParams& link() const;
-
-  /// Link used for point-to-point traffic to communicator rank `dest`.
-  const trace::HockneyParams& link_to(int dest) const;
 
  private:
   friend class Runtime;

@@ -1,5 +1,5 @@
-// Non-blocking sgmpi operations: post/complete split of broadcast and
-// point-to-point, plus the blocking wrappers built on top of them.
+// Non-blocking sgmpi broadcasts: the post/complete split of ibcast_bytes and
+// ibcast_panel, plus the blocking wrappers built on top of them.
 //
 // Posting never blocks on peers. A collective post registers this rank in a
 // per-communicator AsyncSlot matched by posting order (the MPI rule that all
@@ -8,8 +8,7 @@
 // virtual-time settlement happen at completion (`wait`/`waitall`/`test`):
 // receivers copy straight out of the root's buffer, and the root's own
 // completion blocks until every receiver has copied, which is what makes the
-// root's buffer lifetime end at its wait — the guarantee the const-correct
-// `ibcast_send_bytes` path relies on.
+// root's buffer lifetime end at its wait.
 //
 // Virtual time: an operation's effective interval is
 // [entry_max, entry_max + cost], where entry_max is the latest comm-lane
@@ -63,21 +62,8 @@ void finish_slot(detail::CommState& st,
 Request::~Request() {
   if (op_ == nullptr) return;
   if (std::uncaught_exceptions() > 0) return;
-  const char* kind = "unknown";
-  switch (op_->kind) {
-    case Kind::kBcastRecv:
-      kind = "ibcast(recv)";
-      break;
-    case Kind::kBcastSendRoot:
-      kind = "ibcast(root)";
-      break;
-    case Kind::kSend:
-      kind = "isend";
-      break;
-    case Kind::kRecv:
-      kind = "irecv";
-      break;
-  }
+  const char* kind =
+      op_->kind == Kind::kBcastSendRoot ? "ibcast(root)" : "ibcast(recv)";
   std::fprintf(stderr,
                "sgmpi: fatal: pending %s request destroyed without "
                "wait/test on comm '%s'\n",
@@ -219,164 +205,6 @@ Request Comm::ibcast_panel(util::ConstMatrixView src, util::MatrixView dst,
   return Request{std::move(op)};
 }
 
-Request Comm::ibcast_send_bytes(const void* data, std::int64_t bytes,
-                                int root) {
-  if (rank_ != root) {
-    throw std::invalid_argument(
-        "sgmpi: ibcast_send_bytes must be called by the root (receivers "
-        "need a writable buffer)");
-  }
-  // The runtime never writes through the root's pointer; the const_cast is
-  // confined here and covered by that invariant.
-  return ibcast_bytes(const_cast<void*>(data), bytes, root);
-}
-
-Request Comm::isend_bytes(const void* data, std::int64_t bytes, int dest,
-                          int tag) {
-  const int q = size();
-  if (dest < 0 || dest >= q) {
-    throw std::invalid_argument("sgmpi: send to invalid rank");
-  }
-  if (dest == rank_) {
-    throw std::invalid_argument("sgmpi: send to self is not supported");
-  }
-  if (bytes < 0) throw std::invalid_argument("sgmpi: negative send size");
-  ctx_->unwind_check(world_rank());
-
-  auto op = std::make_unique<Request::Op>();
-  op->kind = Request::Kind::kSend;
-  op->state_index = state_index_;
-  op->bytes = bytes;
-  op->peer = dest;
-  op->tag = tag;
-  op->cost = link_to(dest).p2p(bytes);
-  if (ctx_->faults) {
-    const double base =
-        op->cost * ctx_->faults->link_factor(world_rank(), clock().now());
-    // Injected drops: each wasted attempt costs the transfer plus an
-    // exponential backoff; the message itself lands exactly once.
-    op->cost = base + ctx_->faults->send_attempt_penalty(world_rank(),
-                                                         clock().now(), base);
-  }
-  op->lane_start = clock().post_async_comm(op->cost);
-  op->comm_desc = comm_label(state_index_);
-
-  // Buffered-eager: the payload is snapshotted at post time, so the
-  // sender's buffer is reusable immediately and completion is local.
-  detail::Message msg;
-  msg.comm_state = state_index_;
-  msg.src_comm_rank = rank_;
-  msg.tag = tag;
-  msg.bytes = bytes;
-  msg.sender_entry_vtime = op->lane_start;
-  if (data != nullptr && bytes > 0) {
-    const auto* p = static_cast<const std::byte*>(data);
-    msg.payload.assign(p, p + bytes);
-  }
-
-  const int dest_world = world_ranks()[static_cast<std::size_t>(dest)];
-  auto& box = ctx_->mailboxes[static_cast<std::size_t>(dest_world)];
-  {
-    std::lock_guard<std::mutex> lock(box.mutex);
-    box.queue.push_back(std::move(msg));
-  }
-  box.cv.notify_all();
-  return Request{std::move(op)};
-}
-
-Request Comm::irecv_bytes(void* data, std::int64_t bytes, int source,
-                          int tag) {
-  const int q = size();
-  if (source < 0 || source >= q) {
-    throw std::invalid_argument("sgmpi: recv from invalid rank");
-  }
-  if (bytes < 0) throw std::invalid_argument("sgmpi: negative recv size");
-  ctx_->unwind_check(world_rank());
-
-  auto op = std::make_unique<Request::Op>();
-  op->kind = Request::Kind::kRecv;
-  op->state_index = state_index_;
-  op->recv_buf = data;
-  op->bytes = bytes;
-  op->peer = source;
-  op->tag = tag;
-  op->cost = link_to(source).p2p(bytes);
-  if (ctx_->faults) {
-    op->cost *= ctx_->faults->link_factor(world_rank(), clock().now());
-  }
-  op->lane_start = clock().post_async_comm(op->cost);
-  op->comm_desc = comm_label(state_index_);
-  return Request{std::move(op)};
-}
-
-Request Comm::isend_panel(util::ConstMatrixView src, int dest, int tag) {
-  const int q = size();
-  if (dest < 0 || dest >= q) {
-    throw std::invalid_argument("sgmpi: send to invalid rank");
-  }
-  if (dest == rank_) {
-    throw std::invalid_argument("sgmpi: send to self is not supported");
-  }
-  ctx_->unwind_check(world_rank());
-
-  const std::int64_t bytes =
-      src.rows() * src.cols() * static_cast<std::int64_t>(sizeof(double));
-  auto op = std::make_unique<Request::Op>();
-  op->kind = Request::Kind::kSend;
-  op->state_index = state_index_;
-  op->bytes = bytes;
-  op->peer = dest;
-  op->tag = tag;
-  op->panel = true;
-  op->panel_rows = src.rows();
-  op->panel_cols = src.cols();
-  op->src_ld = src.ld();
-  op->cost = link_to(dest).p2p(bytes);
-  if (ctx_->faults) {
-    const double base =
-        op->cost * ctx_->faults->link_factor(world_rank(), clock().now());
-    op->cost = base + ctx_->faults->send_attempt_penalty(world_rank(),
-                                                         clock().now(), base);
-  }
-  op->lane_start = clock().post_async_comm(op->cost);
-  op->comm_desc = comm_label(state_index_);
-
-  // Buffered-eager like isend_bytes, but the snapshot gathers the strided
-  // view row-wise — the one staging copy a contiguous send makes anyway.
-  detail::Message msg;
-  msg.comm_state = state_index_;
-  msg.src_comm_rank = rank_;
-  msg.tag = tag;
-  msg.bytes = bytes;
-  msg.sender_entry_vtime = op->lane_start;
-  if (src.data() != nullptr && bytes > 0) {
-    msg.payload.resize(static_cast<std::size_t>(bytes));
-    util::copy_matrix(reinterpret_cast<double*>(msg.payload.data()),
-                      src.cols(), src.data(), src.ld(), src.rows(),
-                      src.cols());
-  }
-
-  const int dest_world = world_ranks()[static_cast<std::size_t>(dest)];
-  auto& box = ctx_->mailboxes[static_cast<std::size_t>(dest_world)];
-  {
-    std::lock_guard<std::mutex> lock(box.mutex);
-    box.queue.push_back(std::move(msg));
-  }
-  box.cv.notify_all();
-  return Request{std::move(op)};
-}
-
-Request Comm::irecv_panel(util::MatrixView dst, int source, int tag) {
-  const std::int64_t bytes =
-      dst.rows() * dst.cols() * static_cast<std::int64_t>(sizeof(double));
-  Request r = irecv_bytes(dst.data(), bytes, source, tag);
-  r.op_->panel = true;
-  r.op_->panel_rows = dst.rows();
-  r.op_->panel_cols = dst.cols();
-  r.op_->dst_ld = dst.ld();
-  return r;
-}
-
 double Comm::wait(Request& request) {
   if (!request.pending()) return 0.0;
   const Request::Op& op = *request.op_;
@@ -386,117 +214,57 @@ double Comm::wait(Request& request) {
         "posted on");
   }
   const double entry = clock().now();
-  double completion = 0.0;
-
-  switch (op.kind) {
-    case Request::Kind::kSend:
-      completion = op.lane_start + op.cost;
-      break;
-
-    case Request::Kind::kRecv: {
-      const int me = world_rank();
-      auto& box = ctx_->mailboxes[static_cast<std::size_t>(me)];
-      detail::Message msg;
-      {
-        std::unique_lock<std::mutex> lock(box.mutex);
-        double backoff_s = std::min(ctx_->config.poll_interval_s, 0.001);
-        for (;;) {
-          const auto it = std::find_if(
-              box.queue.begin(), box.queue.end(),
-              [&](const detail::Message& m) {
-                return m.comm_state == state_index_ &&
-                       m.src_comm_rank == op.peer && m.tag == op.tag;
-              });
-          if (it != box.queue.end()) {
-            msg = std::move(*it);
-            box.queue.erase(it);
-            break;
-          }
-          ctx_->unwind_check(me);
-          detail::engine_wait_step(lock, box.cv, backoff_s,
-                                   ctx_->config.poll_interval_s);
-        }
-      }
-      if (msg.bytes != op.bytes) {
-        throw std::invalid_argument(
-            "sgmpi: recv size mismatch (got " + std::to_string(msg.bytes) +
-            " bytes, expected " + std::to_string(op.bytes) + ")");
-      }
-      if (op.recv_buf != nullptr && !msg.payload.empty()) {
+  auto& st = ctx_->state(state_index_);
+  const int q = size();
+  const int me = world_rank();
+  const bool is_root = op.kind == Request::Kind::kBcastSendRoot;
+  double entry_max = 0.0;
+  {
+    std::unique_lock<std::mutex> lock(st.async_mutex);
+    const auto it = st.async_slots.find(op.seq);
+    if (it == st.async_slots.end()) {
+      throw std::logic_error("sgmpi: request completed twice");
+    }
+    detail::AsyncSlot& slot = it->second;
+    double backoff_s = std::min(ctx_->config.poll_interval_s, 0.001);
+    while (slot.posted < q || (is_root && slot.copied < q - 1)) {
+      ctx_->unwind_check(me);
+      detail::engine_wait_step(lock, st.async_cv, backoff_s,
+                               ctx_->config.poll_interval_s);
+    }
+    if (!is_root) {
+      if (op.recv_buf != nullptr && slot.src != nullptr) {
         if (op.panel) {
-          // Scatter the contiguous wire payload into the strided dst.
-          util::copy_matrix(static_cast<double*>(op.recv_buf), op.dst_ld,
-                            reinterpret_cast<const double*>(
-                                msg.payload.data()),
-                            op.panel_cols, op.panel_rows, op.panel_cols);
-        } else {
-          std::memcpy(op.recv_buf, msg.payload.data(), msg.payload.size());
-        }
-      }
-      completion = std::max(op.lane_start, msg.sender_entry_vtime) + op.cost;
-      break;
-    }
-
-    case Request::Kind::kBcastRecv:
-    case Request::Kind::kBcastSendRoot: {
-      auto& st = ctx_->state(state_index_);
-      const int q = size();
-      const int me = world_rank();
-      double entry_max = 0.0;
-      {
-        std::unique_lock<std::mutex> lock(st.async_mutex);
-        const auto it = st.async_slots.find(op.seq);
-        if (it == st.async_slots.end()) {
-          throw std::logic_error("sgmpi: request completed twice");
-        }
-        detail::AsyncSlot& slot = it->second;
-        double backoff_s = std::min(ctx_->config.poll_interval_s, 0.001);
-        const bool is_root = op.kind == Request::Kind::kBcastSendRoot;
-        while (slot.posted < q || (is_root && slot.copied < q - 1)) {
-          ctx_->unwind_check(me);
-          detail::engine_wait_step(lock, st.async_cv, backoff_s,
-                                   ctx_->config.poll_interval_s);
-        }
-        if (!is_root) {
-          if (op.recv_buf != nullptr && slot.src != nullptr) {
-            if (op.panel) {
-              // Strided gather straight out of the root's view — the
-              // zero-staging path of ibcast_panel. A contiguous root
-              // (src_ld unset) is read with ld == cols.
-              const std::int64_t src_ld =
-                  slot.src_ld >= 0 ? slot.src_ld : op.panel_cols;
-              if (op.panel_rows > 0 && op.panel_cols > 0) {
-                util::copy_matrix(static_cast<double*>(op.recv_buf),
-                                  op.dst_ld,
-                                  static_cast<const double*>(slot.src),
-                                  src_ld, op.panel_rows, op.panel_cols);
-              }
-            } else {
-              std::memcpy(op.recv_buf, slot.src,
-                          static_cast<std::size_t>(op.bytes));
-            }
+          // Strided gather straight out of the root's view — the
+          // zero-staging path of ibcast_panel. A contiguous root
+          // (src_ld unset) is read with ld == cols.
+          const std::int64_t src_ld =
+              slot.src_ld >= 0 ? slot.src_ld : op.panel_cols;
+          if (op.panel_rows > 0 && op.panel_cols > 0) {
+            util::copy_matrix(static_cast<double*>(op.recv_buf), op.dst_ld,
+                              static_cast<const double*>(slot.src), src_ld,
+                              op.panel_rows, op.panel_cols);
           }
-          ++slot.copied;
+        } else {
+          std::memcpy(op.recv_buf, slot.src,
+                      static_cast<std::size_t>(op.bytes));
         }
-        entry_max = slot.entry_max;
-        finish_slot(st, it, q);
       }
-      st.async_cv.notify_all();
-      // Panel root with a local destination: store its own copy of the
-      // panel now, outside the slot lock (src and dst are this rank's
-      // buffers; values are identical whenever it happens before return).
-      if (op.kind == Request::Kind::kBcastSendRoot && op.panel &&
-          op.recv_buf != nullptr && op.panel_src != nullptr &&
-          op.panel_rows > 0 && op.panel_cols > 0) {
-        util::copy_matrix(static_cast<double*>(op.recv_buf), op.dst_ld,
-                          op.panel_src, op.src_ld, op.panel_rows,
-                          op.panel_cols);
-      }
-      completion = entry_max + op.cost;
-      break;
+      ++slot.copied;
     }
+    entry_max = slot.entry_max;
+    finish_slot(st, it, q);
   }
-
+  st.async_cv.notify_all();
+  // Panel root with a local destination: store its own copy of the panel
+  // now, outside the slot lock (src and dst are this rank's buffers; values
+  // are identical whenever it happens before return).
+  if (is_root && op.panel && op.recv_buf != nullptr &&
+      op.panel_src != nullptr && op.panel_rows > 0 && op.panel_cols > 0) {
+    util::copy_matrix(static_cast<double*>(op.recv_buf), op.dst_ld,
+                      op.panel_src, op.src_ld, op.panel_rows, op.panel_cols);
+  }
+  const double completion = entry_max + op.cost;
   const double cost = op.cost;
   clock().complete_async_comm(completion, cost);
   record_completion(op, entry, completion);
@@ -513,40 +281,19 @@ double Comm::waitall(std::vector<Request>& requests) {
 bool Comm::test(Request& request) {
   if (!request.pending()) return true;
   const Request::Op& op = *request.op_;
-
-  switch (op.kind) {
-    case Request::Kind::kSend:
-      break;  // buffered send: completion is local, wait() never blocks
-
-    case Request::Kind::kRecv: {
-      auto& box = ctx_->mailboxes[static_cast<std::size_t>(world_rank())];
-      std::lock_guard<std::mutex> lock(box.mutex);
-      const auto it = std::find_if(
-          box.queue.begin(), box.queue.end(), [&](const detail::Message& m) {
-            return m.comm_state == state_index_ &&
-                   m.src_comm_rank == op.peer && m.tag == op.tag;
-          });
-      if (it == box.queue.end()) return false;
-      break;  // a matching message is queued: wait() below cannot block
+  auto& st = ctx_->state(state_index_);
+  const int q = size();
+  {
+    std::lock_guard<std::mutex> lock(st.async_mutex);
+    const auto it = st.async_slots.find(op.seq);
+    if (it == st.async_slots.end()) {
+      throw std::logic_error("sgmpi: request completed twice");
     }
-
-    case Request::Kind::kBcastRecv:
-    case Request::Kind::kBcastSendRoot: {
-      auto& st = ctx_->state(state_index_);
-      const int q = size();
-      {
-        std::lock_guard<std::mutex> lock(st.async_mutex);
-        const auto it = st.async_slots.find(op.seq);
-        if (it == st.async_slots.end()) {
-          throw std::logic_error("sgmpi: request completed twice");
-        }
-        const detail::AsyncSlot& slot = it->second;
-        const bool is_root = op.kind == Request::Kind::kBcastSendRoot;
-        if (slot.posted < q || (is_root && slot.copied < q - 1)) return false;
-      }
-      break;  // fully posted (and copied, for the root): wait() is instant
-    }
+    const detail::AsyncSlot& slot = it->second;
+    const bool is_root = op.kind == Request::Kind::kBcastSendRoot;
+    if (slot.posted < q || (is_root && slot.copied < q - 1)) return false;
   }
+  // Fully posted (and copied, for the root): wait() is instant.
   wait(request);
   return true;
 }
@@ -566,76 +313,21 @@ double Comm::bcast_bytes(void* data, std::int64_t bytes, int root) {
   return wait(r);
 }
 
-double Comm::bcast_send_bytes(const void* data, std::int64_t bytes,
-                              int root) {
-  Request r = ibcast_send_bytes(data, bytes, root);
-  if (!r.pending()) return 0.0;
-  r.op_->blocking = true;
-  return wait(r);
-}
-
-void Comm::send_bytes(const void* data, std::int64_t bytes, int dest,
-                      int tag) {
-  Request r = isend_bytes(data, bytes, dest, tag);
-  r.op_->blocking = true;
-  wait(r);
-}
-
-void Comm::recv_bytes(void* data, std::int64_t bytes, int source, int tag) {
-  Request r = irecv_bytes(data, bytes, source, tag);
-  r.op_->blocking = true;
-  wait(r);
-}
-
-void Comm::send_panel(util::ConstMatrixView src, int dest, int tag) {
-  Request r = isend_panel(src, dest, tag);
-  r.op_->blocking = true;
-  wait(r);
-}
-
-void Comm::recv_panel(util::MatrixView dst, int source, int tag) {
-  Request r = irecv_panel(dst, source, tag);
-  r.op_->blocking = true;
-  wait(r);
-}
-
 void Comm::record_completion(const Request::Op& op, double wait_entry,
                              double completion) {
   if (!events().enabled()) return;
-  switch (op.kind) {
-    case Request::Kind::kBcastRecv:
-    case Request::Kind::kBcastSendRoot: {
-      const std::string detail =
-          "root=w" + std::to_string(world_ranks()[static_cast<std::size_t>(
-                         op.root)]);
-      if (op.blocking) {
-        // Identical to the historical blocking event: spans the call.
-        events().record({world_rank(), trace::EventKind::kBcast, wait_entry,
-                         clock().now(), op.bytes, 0, detail});
-      } else {
-        // The operation's effective interval on the comm lane — it may lie
-        // entirely under earlier compute in the Gantt (that is the point).
-        events().record({world_rank(), trace::EventKind::kAsyncBcast,
-                         completion - op.cost, completion, op.bytes, 0,
-                         detail});
-      }
-      break;
-    }
-    case Request::Kind::kRecv: {
-      const std::string detail = "recv from c" + std::to_string(op.peer);
-      if (op.blocking) {
-        events().record({world_rank(), trace::EventKind::kTransfer,
-                         wait_entry, clock().now(), op.bytes, 0, detail});
-      } else {
-        events().record({world_rank(), trace::EventKind::kAsyncTransfer,
-                         completion - op.cost, completion, op.bytes, 0,
-                         detail});
-      }
-      break;
-    }
-    case Request::Kind::kSend:
-      // Sends never recorded an event on the blocking path; keep parity.
-      break;
+  const std::string detail =
+      "root=w" +
+      std::to_string(world_ranks()[static_cast<std::size_t>(op.root)]);
+  if (op.blocking) {
+    // Identical to the historical blocking event: spans the call.
+    events().record({world_rank(), trace::EventKind::kBcast, wait_entry,
+                     clock().now(), op.bytes, 0, detail});
+  } else {
+    // The operation's effective interval on the comm lane — it may lie
+    // entirely under earlier compute in the Gantt (that is the point).
+    events().record({world_rank(), trace::EventKind::kAsyncBcast,
+                     completion - op.cost, completion, op.bytes, 0, detail});
   }
 }
 

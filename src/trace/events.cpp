@@ -22,8 +22,6 @@ const char* to_string(EventKind kind) {
       return "transfer";
     case EventKind::kAsyncBcast:
       return "ibcast";
-    case EventKind::kAsyncTransfer:
-      return "irecv";
   }
   return "?";
 }

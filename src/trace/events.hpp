@@ -23,8 +23,6 @@ enum class EventKind {
   /// the rank's communication lane, which may overlap kCompute events of
   /// the same rank — that overlap is the win a pipelined schedule shows.
   kAsyncBcast,
-  /// Non-blocking point-to-point receive, same lane semantics.
-  kAsyncTransfer,
 };
 
 const char* to_string(EventKind kind);

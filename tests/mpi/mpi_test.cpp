@@ -4,7 +4,6 @@
 
 #include <atomic>
 #include <cstring>
-#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -118,66 +117,6 @@ TEST(Barrier, SynchronisesVirtualClocks) {
   for (int r = 0; r < 3; ++r) EXPECT_GE(rt.clock(r).now(), 2.0);
   // Idle time is charged to the fast ranks only.
   EXPECT_GT(rt.clock(0).idle_seconds(), rt.clock(2).idle_seconds());
-}
-
-TEST(SendRecv, DeliversPayloadAndOrder) {
-  Runtime rt(small_config(2));
-  rt.run([](Comm& world) {
-    if (world.rank() == 0) {
-      std::vector<double> a(10);
-      std::iota(a.begin(), a.end(), 0.0);
-      world.send(a.data(), 10, 1, 1);
-      std::vector<double> b(10);
-      std::iota(b.begin(), b.end(), 100.0);
-      world.send(b.data(), 10, 1, 1);
-    } else {
-      std::vector<double> buf(10);
-      world.recv(buf.data(), 10, 0, 1);
-      EXPECT_EQ(buf[3], 3.0);  // first message first
-      world.recv(buf.data(), 10, 0, 1);
-      EXPECT_EQ(buf[3], 103.0);
-    }
-  });
-}
-
-TEST(SendRecv, TagsMatchSelectively) {
-  Runtime rt(small_config(2));
-  rt.run([](Comm& world) {
-    if (world.rank() == 0) {
-      double a = 1.0, b = 2.0;
-      world.send(&a, 1, 1, /*tag=*/10);
-      world.send(&b, 1, 1, /*tag=*/20);
-    } else {
-      double v = 0.0;
-      world.recv(&v, 1, 0, /*tag=*/20);  // out of arrival order
-      EXPECT_EQ(v, 2.0);
-      world.recv(&v, 1, 0, /*tag=*/10);
-      EXPECT_EQ(v, 1.0);
-    }
-  });
-}
-
-TEST(SendRecv, SizeMismatchThrows) {
-  Runtime rt(small_config(2));
-  EXPECT_THROW(rt.run([](Comm& world) {
-    if (world.rank() == 0) {
-      double v = 1.0;
-      world.send(&v, 1, 1, 0);
-    } else {
-      double buf[4];
-      world.recv(buf, 4, 0, 0);
-    }
-  }),
-               std::invalid_argument);
-}
-
-TEST(SendRecv, SendToSelfRejected) {
-  Runtime rt(small_config(2));
-  EXPECT_THROW(rt.run([](Comm& world) {
-    double v = 0;
-    if (world.rank() == 0) world.send(&v, 1, 0, 0);
-  }),
-               std::invalid_argument);
 }
 
 TEST(Allreduce, MaxOfAllNegativeValues) {
@@ -332,24 +271,6 @@ TEST(VirtualTime, ComputeThenBcastOrdersByEntryTimes) {
   EXPECT_NEAR(rt.clock(0).idle_seconds(), 0.0, 1e-9);
 }
 
-TEST(VirtualTime, SendRecvChargesBothSides) {
-  Config config = small_config(2);
-  config.link = trace::HockneyParams{1.0e-6, 1.0e-9};
-  Runtime rt(config);
-  const std::int64_t count = 1000;
-  rt.run([&](Comm& world) {
-    std::vector<double> buf(static_cast<std::size_t>(count), 1.0);
-    if (world.rank() == 0) {
-      world.send(buf.data(), count, 1, 0);
-    } else {
-      world.recv(buf.data(), count, 0, 0);
-    }
-  });
-  const double cost = config.link.p2p(count * 8);
-  EXPECT_NEAR(rt.clock(0).comm_seconds(), cost, 1e-12);
-  EXPECT_NEAR(rt.clock(1).comm_seconds(), cost, 1e-12);
-}
-
 TEST(VirtualTime, ResetClocksZeroesState) {
   Runtime rt(small_config(2));
   rt.run([](Comm& world) { world.clock().advance_compute(5.0); });
@@ -402,26 +323,6 @@ TEST(Topology, IntraNodeGroupsUseFastLink) {
       sub.bcast_bytes(nullptr, 1000, 0);
     }
   });
-}
-
-TEST(Topology, PointToPointPicksLinkPerPair) {
-  Config config = small_config(3);
-  config.link = trace::HockneyParams{0.0, 1.0e-9};
-  config.internode_link = trace::HockneyParams{0.0, 1.0e-6};
-  config.node_of = {0, 0, 1};
-  Runtime rt(config);
-  const std::int64_t bytes = 1 << 20;
-  rt.run([&](Comm& world) {
-    if (world.rank() == 0) {
-      world.send_bytes(nullptr, bytes, 1, 0);  // same node
-      world.send_bytes(nullptr, bytes, 2, 0);  // cross node
-    } else {
-      world.recv_bytes(nullptr, bytes, 0, 0);
-    }
-  });
-  // Rank 1 (same node) paid ~1e-3 s; rank 2 (cross node) ~1 s.
-  EXPECT_NEAR(rt.clock(1).comm_seconds(), bytes * 1.0e-9, 1e-6);
-  EXPECT_NEAR(rt.clock(2).comm_seconds(), bytes * 1.0e-6, 1e-3);
 }
 
 TEST(Topology, NodeOfSizeMismatchRejected) {

@@ -1,7 +1,6 @@
 // Tests of the strided panel transport: bcast_panel / ibcast_panel move a
 // sub-matrix of the root's buffer straight into every rank's (differently
-// strided) destination with no intermediate staging, and isend_panel /
-// irecv_panel pack/scatter through the eager payload. Virtual timing must
+// strided) destination with no intermediate staging. Virtual timing must
 // match the contiguous byte collectives carrying the same payload size.
 #include <gtest/gtest.h>
 
@@ -162,51 +161,6 @@ TEST(Panel, NonRootMustPassEmptySource) {
                  world.bcast_panel(ConstMatrixView(src), MatrixView(dst), 0);
                }),
                std::invalid_argument);
-}
-
-TEST(Panel, SendRecvScattersThroughEagerPayload) {
-  Runtime rt(small_config(2));
-  rt.run([](Comm& world) {
-    if (world.rank() == 0) {
-      Matrix src = numbered(8, 8, 7000.0);
-      world.send_panel(block_view(static_cast<const Matrix&>(src), 1, 2, 4,
-                                  3),
-                       1, 42);
-    } else {
-      Matrix frame(6, 6);
-      frame.fill(0.0);
-      world.recv_panel(block_view(frame, 2, 1, 4, 3), 0, 42);
-      for (std::int64_t i = 0; i < 4; ++i) {
-        for (std::int64_t j = 0; j < 3; ++j) {
-          EXPECT_EQ(frame(2 + i, 1 + j),
-                    7000.0 + 100.0 * (1 + i) + (2 + j));
-        }
-      }
-      EXPECT_EQ(frame(0, 0), 0.0);
-      EXPECT_EQ(frame(5, 5), 0.0);
-    }
-  });
-}
-
-TEST(Panel, IsendSnapshotsPayloadAtPost) {
-  Runtime rt(small_config(2));
-  rt.run([](Comm& world) {
-    if (world.rank() == 0) {
-      Matrix src = numbered(4, 4);
-      Request r = world.isend_panel(
-          block_view(static_cast<const Matrix&>(src), 0, 0, 2, 2), 1, 9);
-      // Buffered-eager semantics: mutating after the post must not change
-      // what the receiver sees.
-      src.fill(-1.0);
-      world.wait(r);
-    } else {
-      Matrix dst(2, 2);
-      Request r = world.irecv_panel(MatrixView(dst), 0, 9);
-      world.wait(r);
-      EXPECT_EQ(dst(0, 0), 0.0);
-      EXPECT_EQ(dst(1, 1), 101.0);
-    }
-  });
 }
 
 }  // namespace

@@ -45,32 +45,6 @@ TEST(Request, IbcastDeliversPayloadAtWait) {
   });
 }
 
-TEST(Request, IbcastSendBytesIsConstCorrectOnRoot) {
-  Runtime rt(small_config(3));
-  rt.run([](Comm& world) {
-    const std::vector<double> owned(32, 4.0);  // genuinely const payload
-    std::vector<double> buf(32, 0.0);
-    Request r = world.rank() == 0
-                    ? world.ibcast_send_bytes(owned.data(),
-                                              32 * sizeof(double), 0)
-                    : world.ibcast_bytes(buf.data(), 32 * sizeof(double), 0);
-    world.wait(r);
-    if (world.rank() != 0) {
-      for (double v : buf) EXPECT_EQ(v, 4.0);
-    }
-  });
-}
-
-TEST(Request, IbcastSendBytesThrowsOnNonRoot) {
-  Runtime rt(small_config(2));
-  EXPECT_THROW(rt.run([](Comm& world) {
-                 const double x = 1.0;
-                 world.ibcast_send_bytes(&x, sizeof(double),
-                                         world.rank() == 0 ? 1 : 0);
-               }),
-               std::invalid_argument);
-}
-
 TEST(Request, SingleMemberIbcastCompletesImmediately) {
   Runtime rt(small_config(1));
   rt.run([](Comm& world) {
@@ -78,24 +52,6 @@ TEST(Request, SingleMemberIbcastCompletesImmediately) {
     Request r = world.ibcast_bytes(&x, sizeof(double), 0);
     EXPECT_FALSE(r.pending());
     EXPECT_EQ(world.wait(r), 0.0);
-  });
-}
-
-TEST(Request, IsendIrecvRoundTrip) {
-  Runtime rt(small_config(2));
-  rt.run([](Comm& world) {
-    if (world.rank() == 0) {
-      std::vector<double> out(16, 3.25);
-      Request s = world.isend_bytes(out.data(), 16 * sizeof(double), 1, 7);
-      // Buffered-eager: the buffer is reusable immediately after the post.
-      std::fill(out.begin(), out.end(), -1.0);
-      world.wait(s);
-    } else {
-      std::vector<double> in(16, 0.0);
-      Request r = world.irecv_bytes(in.data(), 16 * sizeof(double), 0, 7);
-      world.wait(r);
-      for (double v : in) EXPECT_EQ(v, 3.25);
-    }
   });
 }
 
@@ -199,35 +155,24 @@ TEST(Request, WaitallCompletesEverythingInOrder) {
 }
 
 TEST(Request, TestReturnsFalseUntilPeersPost) {
-  Runtime rt(small_config(2));
+  Runtime rt(small_config(3));
   rt.run([](Comm& world) {
     if (world.rank() == 0) {
-      Request r = world.ibcast_bytes(nullptr, 256, 0);
-      // Rank 1 blocks in a recv before posting its ibcast, so test()
+      Comm pair = world.subgroup({0, 1});
+      Request r = pair.ibcast_bytes(nullptr, 256, 0);
+      // Rank 1 blocks in the world barrier before posting its ibcast, and
+      // the barrier cannot release before rank 0 enters it, so test()
       // cannot succeed for the root (no receiver has copied).
-      EXPECT_FALSE(world.test(r));
-      world.send_bytes(nullptr, 0, 1, 3);
-      world.wait(r);
+      EXPECT_FALSE(pair.test(r));
+      world.barrier();
+      pair.wait(r);
+    } else if (world.rank() == 1) {
+      Comm pair = world.subgroup({0, 1});
+      world.barrier();
+      Request r = pair.ibcast_bytes(nullptr, 256, 0);
+      pair.wait(r);
     } else {
-      world.recv_bytes(nullptr, 0, 0, 3);
-      Request r = world.ibcast_bytes(nullptr, 256, 0);
-      world.wait(r);
-    }
-  });
-}
-
-TEST(Request, TestCompletesIrecvOnlyWhenMessageArrived) {
-  Runtime rt(small_config(2));
-  rt.run([](Comm& world) {
-    if (world.rank() == 0) {
-      Request r = world.irecv_bytes(nullptr, 64, 1, 9);
-      EXPECT_FALSE(world.test(r));  // nothing sent yet
-      world.send_bytes(nullptr, 0, 1, 1);  // release the sender
-      world.wait(r);
-      EXPECT_FALSE(r.pending());
-    } else {
-      world.recv_bytes(nullptr, 0, 0, 1);
-      world.send_bytes(nullptr, 64, 0, 9);
+      world.barrier();
     }
   });
 }
@@ -267,11 +212,10 @@ TEST(Request, SubgroupIbcastWorks) {
 TEST(Request, CompletedRequestDestructsQuietly) {
   Runtime rt(small_config(2));
   rt.run([](Comm& world) {
-    double payload = 3.0, sink = 0.0;
-    Request r = world.rank() == 0
-                    ? world.isend_bytes(&payload, sizeof(double), 1, 2)
-                    : world.irecv_bytes(&sink, sizeof(double), 0, 2);
+    double payload = world.rank() == 0 ? 3.0 : 0.0;
+    Request r = world.ibcast_bytes(&payload, sizeof(double), 0);
     world.wait(r);
+    EXPECT_EQ(payload, 3.0);
   });  // waited requests destruct here: no abort
 }
 
@@ -293,17 +237,14 @@ TEST(RequestDeathTest, PendingRequestDestroyedFailsLoudly) {
       {
         Runtime rt(small_config(2));
         rt.run([](Comm& world) {
-          double payload = 1.0, sink = 0.0;
-          if (world.rank() == 0) {
-            Request r = world.isend_bytes(&payload, sizeof(double), 1, 7);
-            // dropped without wait/test
-          } else {
-            Request r = world.irecv_bytes(&sink, sizeof(double), 0, 7);
-            world.wait(r);
-          }
+          double payload = 1.0;
+          Request r = world.ibcast_bytes(&payload, sizeof(double), 0);
+          // The root drops its request without wait/test.
+          if (world.rank() != 0) world.wait(r);
         });
       },
-      "pending isend request destroyed without wait/test on comm 'world'");
+      "pending ibcast\\(root\\) request destroyed without wait/test on "
+      "comm 'world'");
 }
 #endif
 
