@@ -1,5 +1,5 @@
 // Quickstart: multiply two matrices with SummaGen on the simulated
-// three-device heterogeneous node, verify against the serial reference,
+// three-device heterogeneous node, verify against the scalar reference,
 // and print the timing/energy breakdown.
 //
 //   $ ./quickstart [--n 512] [--shape square_corner]
@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
   if (res.has_energy) {
     std::cout << "  dynamic energy: " << res.energy.dynamic_j << " J\n";
   }
-  std::cout << "\nnumeric verification vs serial reference: "
+  std::cout << "\nnumeric verification vs scalar reference: "
             << (res.verified ? "PASSED" : "FAILED")
             << " (max |error| = " << res.max_abs_error << ")\n";
   return res.verified ? 0 : 1;

@@ -9,6 +9,7 @@
 //   $ ./summagen_cli --n 1024 --shape block_rectangle --save-spec out.spec
 //   $ ./summagen_cli --spec out.spec --numeric --gantt
 //   $ ./summagen_cli --n 8192 --regime fpm --energy
+#include <cstdio>
 #include <fstream>
 #include <iostream>
 
@@ -238,6 +239,15 @@ int main(int argc, char** argv) {
     }
     if (config.numeric) {
       t.add_row({"verified vs reference", res.verified ? "yes" : "NO"});
+      // Exact bits beside the readable value, so two builds' verify can be
+      // compared from their output alone.
+      char error[64];
+      std::snprintf(error, sizeof error, "%.6e (%a)", res.max_abs_error,
+                    res.max_abs_error);
+      t.add_row({"max |C - C_ref|", error});
+      char tolerance[32];
+      std::snprintf(tolerance, sizeof tolerance, "%.6e", res.tolerance);
+      t.add_row({"tolerance", tolerance});
       t.add_row({"data-plane alloc (MiB)",
                  util::Table::num(
                      static_cast<double>(res.alloc.alloc_bytes) / 1048576.0,

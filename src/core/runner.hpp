@@ -166,6 +166,7 @@ struct ExperimentResult {
 
   bool verified = false;        ///< numeric plane: C matched the reference
   double max_abs_error = 0.0;   ///< numeric plane: worst |C - C_ref|
+  double tolerance = 0.0;       ///< numeric plane: bound on max_abs_error
 
   /// Data-plane allocation/copy accounting over the execution window:
   /// per-rank local stores, broadcasts, compute workspaces and the C

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <sstream>
 
 #include "src/util/accounting.hpp"
@@ -47,9 +48,19 @@ double Matrix::max_abs_diff(const Matrix& a, const Matrix& b) {
   if (a.rows() != b.rows() || a.cols() != b.cols()) {
     throw std::invalid_argument("max_abs_diff: shape mismatch");
   }
+  return util::max_abs_diff(a.span(), b.span());
+}
+
+double max_abs_diff(std::span<const double> x, std::span<const double> y) {
+  if (x.size() != y.size()) {
+    throw std::invalid_argument("max_abs_diff: length mismatch");
+  }
   double worst = 0.0;
-  for (std::size_t k = 0; k < a.data_.size(); ++k) {
-    worst = std::max(worst, std::abs(a.data_[k] - b.data_[k]));
+  for (std::size_t k = 0; k < x.size(); ++k) {
+    const double d = std::abs(x[k] - y[k]);
+    // std::max(worst, NaN) keeps `worst`: a NaN must end the scan instead.
+    if (std::isnan(d)) return std::numeric_limits<double>::quiet_NaN();
+    worst = std::max(worst, d);
   }
   return worst;
 }

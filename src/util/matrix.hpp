@@ -56,7 +56,9 @@ class Matrix {
   /// Sets every element to `value`.
   void fill(double value);
 
-  /// Frobenius norm of the difference, useful for verification.
+  /// Largest elementwise |a - b| (max norm of the difference), or NaN when
+  /// any difference is NaN, so a NaN fails every `<= tolerance` check.
+  /// Throws std::invalid_argument on a shape mismatch.
   static double max_abs_diff(const Matrix& a, const Matrix& b);
 
   bool operator==(const Matrix& other) const = default;
@@ -66,6 +68,11 @@ class Matrix {
   std::int64_t cols_ = 0;
   std::vector<double> data_;
 };
+
+/// Largest |x[i] - y[i]| over two equal-length ranges, NaN when any
+/// difference is NaN (see Matrix::max_abs_diff). Throws
+/// std::invalid_argument on a length mismatch.
+double max_abs_diff(std::span<const double> x, std::span<const double> y);
 
 /// Copies a `rows x cols` block between two row-major buffers with
 /// leading dimensions `dst_ld` / `src_ld` (in elements).

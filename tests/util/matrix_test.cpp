@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "src/util/rng.hpp"
@@ -65,6 +67,22 @@ TEST(Matrix, MaxAbsDiff) {
   b(1, 1) = 1.5;
   EXPECT_DOUBLE_EQ(Matrix::max_abs_diff(a, b), 0.5);
   EXPECT_DOUBLE_EQ(Matrix::max_abs_diff(a, a), 0.0);
+}
+
+// std::max(worst, NaN) keeps `worst`, which once let a C with a NaN entry
+// verify with error 0. A NaN difference anywhere must make the result NaN,
+// whichever operand holds it and whatever larger error comes before it.
+TEST(Matrix, MaxAbsDiffPropagatesNaN) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Matrix a(4, 4, 0.25);
+  Matrix b = a;
+  b(2, 1) = nan;
+  EXPECT_TRUE(std::isnan(Matrix::max_abs_diff(a, b)));
+  EXPECT_TRUE(std::isnan(Matrix::max_abs_diff(b, a)));
+  b(0, 0) = 3.0;  // a larger finite difference ahead of the NaN
+  EXPECT_TRUE(std::isnan(Matrix::max_abs_diff(a, b)));
+  b(2, 1) = a(2, 1);
+  EXPECT_EQ(Matrix::max_abs_diff(a, b), 2.75);
 }
 
 TEST(Matrix, MaxAbsDiffShapeMismatchThrows) {
