@@ -192,8 +192,8 @@ int main(int argc, char** argv) {
             << "\n";
 
   // Numeric cross-check: drift + online re-partitioning must leave C
-  // exactly matching the serial reference (two partition epochs, shared
-  // pack cache, shed compute re-executed by the new owners).
+  // exactly matching the serial reference (two partition epochs, shed
+  // compute re-executed by the new owners).
   std::cout << "\nNumeric verification (N=" << verify_n << "):\n";
   bool all_verified = true;
   for (auto shape : shapes) {

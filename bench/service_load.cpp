@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
   const bool csv = cli.get_bool("csv", false);
 
   // One shared runtime for every pricing run and the reuse probe: the plan
-  // cache, pack cache, and schedule cache live here across all scenarios.
+  // cache and schedule cache live here across all scenarios.
   core::RuntimeContext runtime;
   const service::ServiceModel model = service::modeled_service_time();
 

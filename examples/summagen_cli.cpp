@@ -260,9 +260,6 @@ int main(int argc, char** argv) {
       t.add_row({"copy calls", util::Table::num(res.alloc.copy_calls)});
       t.add_row({"pool hit rate",
                  util::Table::num(res.alloc.pool_hit_rate(), 3)});
-      t.add_row({"B-pack lookups", util::Table::num(res.alloc.pack_lookups)});
-      t.add_row({"B-pack hit rate",
-                 util::Table::num(res.alloc.pack_hit_rate(), 3)});
       t.add_row({"pool peak resident (MiB)",
                  util::Table::num(
                      static_cast<double>(res.alloc.pool_peak_resident_bytes) /

@@ -462,15 +462,6 @@ void fastmm_dgemm(std::int64_t m, std::int64_t n, std::int64_t k, double alpha,
   const std::int64_t crossover = resolve_fastmm_crossover(opts);
   GemmOptions leaf = opts;
   leaf.fastmm = FastMmKind::kClassical;
-  if (choose_fastmm(m, n, k, opts.fastmm, crossover, 0,
-                    opts.fastmm_max_depth) == nullptr) {
-    // No fast split applies at this size: fall straight through to the
-    // classical kernel with the caller's pack-cache tag intact (the
-    // operand really is the tagged panel).
-    dgemm(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, leaf);
-    return;
-  }
-  leaf.b_pack_key = 0;  // sub-block operands are not the tagged B panel
   fastmm_recurse(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, leaf,
                  opts.fastmm, crossover, 0, opts.fastmm_max_depth,
                  resolve_gemm_threads(opts.threads));

@@ -7,7 +7,6 @@
 
 #include "src/blas/fastmm.hpp"
 #include "src/blas/microkernel.hpp"
-#include "src/blas/pack_cache.hpp"
 #include "src/blas/tune.hpp"
 #include "src/pool/pool.hpp"
 #include "src/util/buffer_pool.hpp"
@@ -70,9 +69,9 @@ void gemm_naive(std::int64_t m, std::int64_t n, std::int64_t k, double alpha,
 // pre-dispatch kPacked exactly, and only the AVX2 tier (fused
 // multiply-add, one rounding) differs across tiers.
 //
-// When GemmOptions::b_pack_key != 0 the packed-B blocks are leased from
-// the process-wide PackCache keyed by (key, jc, pc, NR), so SUMMA-family
-// callers that multiply the same B panel repeatedly pack it once.
+// Each (jc, pc) block of B is packed by the call that multiplies it, into
+// a buffer leased from the shared BufferPool and released once the block's
+// bands are done, so no packed panel outlives its call.
 // ---------------------------------------------------------------------------
 
 // Packs rows [row_begin, row_end) of alpha*A, k-slice [l0, l0+kc), into
@@ -146,7 +145,7 @@ void gemm_packed(std::int64_t m, std::int64_t n, std::int64_t k, double alpha,
                  const double* a, std::int64_t lda, const double* b,
                  std::int64_t ldb, double beta, double* c, std::int64_t ldc,
                  int width, const detail::MicroKernel& mk,
-                 const BlockSizes& bs, std::uint64_t pack_key) {
+                 const BlockSizes& bs) {
   const std::int64_t quads = (m + mk.mr - 1) / mk.mr;
   // Row bands are quad-aligned and capped at MC rows; the split depends
   // only on (m, width, MC, MR), so results are independent of which worker
@@ -164,33 +163,21 @@ void gemm_packed(std::int64_t m, std::int64_t n, std::int64_t k, double alpha,
       const std::int64_t kc = std::min(bs.kc, k - l0);
       const bool first_block = l0 == 0;
 
-      // Packed-B block for (jc, l0): leased from the shared pack cache
-      // when the caller tagged the operand, otherwise packed privately.
-      PackCache::Lease cached;
-      util::PooledBuffer local;
-      const double* pb = nullptr;
-      if (pack_key != 0) {
-        cached = PackCache::instance().lease(
-            PackKey{pack_key, jc, l0, mk.nr}, panels * kc * mk.nr,
-            [&](double* dst) {
-              pack_b_panels(b, ldb, jc, nc, l0, kc, mk.nr, 0, panels, dst);
-            });
-        pb = cached.data();
+      // Packed-B block for (jc, l0), released when the block is done.
+      util::PooledBuffer packed =
+          util::BufferPool::instance().acquire(panels * kc * mk.nr);
+      const double* pb = packed.data();
+      if (width <= 1) {
+        pack_b_panels(b, ldb, jc, nc, l0, kc, mk.nr, 0, panels,
+                      packed.data());
       } else {
-        local = util::BufferPool::instance().acquire(panels * kc * mk.nr);
-        if (width <= 1) {
-          pack_b_panels(b, ldb, jc, nc, l0, kc, mk.nr, 0, panels,
-                        local.data());
-        } else {
-          sgpool::parallel_for(
-              0, panels,
-              std::max<std::int64_t>(1, (panels + width - 1) / width),
-              [&](std::int64_t p0, std::int64_t p1) {
-                pack_b_panels(b, ldb, jc, nc, l0, kc, mk.nr, p0, p1,
-                              local.data());
-              });
-        }
-        pb = local.data();
+        sgpool::parallel_for(
+            0, panels,
+            std::max<std::int64_t>(1, (panels + width - 1) / width),
+            [&](std::int64_t p0, std::int64_t p1) {
+              pack_b_panels(b, ldb, jc, nc, l0, kc, mk.nr, p0, p1,
+                            packed.data());
+            });
       }
 
       if (width <= 1) {
@@ -291,7 +278,7 @@ void dgemm(std::int64_t m, std::int64_t n, std::int64_t k, double alpha,
       const int width = static_cast<int>(
           std::min<std::int64_t>(want, (m + mk.mr - 1) / mk.mr));
       gemm_packed(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, width, mk,
-                  bs, opts.b_pack_key);
+                  bs);
       return;
     }
   }

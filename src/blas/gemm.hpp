@@ -57,8 +57,8 @@ const char* fastmm_kind_name(FastMmKind kind);
 /// else (the CLI wraps this into a CliError).
 FastMmKind parse_fastmm_kind(const std::string& name);
 
-/// Options for dgemm. `threads`, `tier`, the blocking overrides and
-/// `b_pack_key` apply to kPacked only.
+/// Options for dgemm. `threads`, `tier` and the blocking overrides apply to
+/// kPacked only.
 struct GemmOptions {
   GemmKernel kernel = GemmKernel::kPacked;
   /// Parallel width of the pool-backed kPacked. 0 (default) = auto: the
@@ -76,12 +76,6 @@ struct GemmOptions {
   std::int64_t mc = 0;
   std::int64_t nc = 0;
   std::int64_t kc = 0;
-  /// Non-zero opts B-panel packing into the process-wide pack cache
-  /// (src/blas/pack_cache.hpp): the caller asserts that every dgemm call
-  /// passing the same key presents a bit-identical B operand (same k, n
-  /// and values), letting SUMMA-family schedules reuse packed panels
-  /// across k-steps and ranks. 0 (default) packs privately per call.
-  std::uint64_t b_pack_key = 0;
   /// Fast-MM mode (src/blas/fastmm.hpp). kClassical (default) is the plain
   /// kernel path; the fast kinds recurse Strassen-family block algorithms
   /// down to the classical kernel below `fastmm_crossover`. Fast results

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "src/blas/fastmm.hpp"
-#include "src/blas/pack_cache.hpp"
 #include "src/core/recovery.hpp"
 #include "src/core/reference.hpp"
 #include "src/pool/pool.hpp"
@@ -157,8 +156,8 @@ ExperimentResult run_pmm(const ExperimentConfig& config) {
                                 : sgpool::Pool::recommended_size(reserved));
   }
   // else: the context sized the pool once; skipping configure() here is
-  // what keeps the PackCache / schedule cache alive across jobs (and what
-  // makes concurrent run_pmm calls safe — configure is quiescent-only).
+  // what keeps the schedule cache alive across jobs (and what makes
+  // concurrent run_pmm calls safe — configure is quiescent-only).
 
   ExperimentResult result;
   std::shared_ptr<const JobPlan> plan;
@@ -172,17 +171,6 @@ ExperimentResult run_pmm(const ExperimentConfig& config) {
   result.spec = plan->spec;
   result.areas = plan->areas;
   result.total_half_perimeter = result.spec.total_half_perimeter();
-
-  // Cross-job packed-panel reuse rides the plan identity: equal (epoch,
-  // plan key, fill seed) implies bit-identical global B, the exact promise
-  // SummaGenOptions::pack_namespace requires. An explicit caller namespace
-  // wins; standalone runs keep the per-run context uid.
-  SummaGenOptions sg_options = config.summagen_options;
-  if (ctx != nullptr && config.plan_cache_key != 0 &&
-      sg_options.pack_namespace == 0) {
-    sg_options.pack_namespace =
-        blas::pack_tag({ctx->epoch(), config.plan_cache_key, config.seed});
-  }
 
   device::Platform platform = config.platform;
   if (config.noise_sigma > 0.0) {
@@ -344,8 +332,7 @@ ExperimentResult run_pmm(const ExperimentConfig& config) {
       result.reports[static_cast<std::size_t>(r)] = summagen_rank(
           world, result.spec, processors[static_cast<std::size_t>(r)],
           locals[static_cast<std::size_t>(r)].get(), config.contended,
-          sg_options,
-          config.drift.empty() ? nullptr : &ftctx);
+          config.summagen_options, config.drift.empty() ? nullptr : &ftctx);
     });
   } else {
     auto ph0 = std::make_unique<Phase>();
@@ -372,7 +359,6 @@ ExperimentResult run_pmm(const ExperimentConfig& config) {
             std::lock_guard<std::mutex> lk(rec_mutex);
             done.insert({bi, bj});
           };
-          ftctx.partition_epoch = static_cast<std::uint64_t>(round);
           ftctx.drift_factor = drift_for(wr);
           // The detector arms only while re-partition budget remains; its
           // confirmation is a pure function of this rank's own observation
@@ -394,7 +380,7 @@ ExperimentResult run_pmm(const ExperimentConfig& config) {
                               : nullptr;
           const RankReport rep = summagen_rank(
               world, ph->spec, processors[static_cast<std::size_t>(wr)], ld,
-              config.contended, sg_options, &ftctx);
+              config.contended, config.summagen_options, &ftctx);
           {
             std::lock_guard<std::mutex> lk(rec_mutex);
             accumulate_report(result.reports[static_cast<std::size_t>(wr)],

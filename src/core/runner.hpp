@@ -73,11 +73,9 @@ struct ExperimentConfig {
   /// Caller-asserted plan identity for cross-job reuse (0 = none, the
   /// default). With an active RuntimeContext, jobs passing equal non-zero
   /// keys promise identical plan-relevant configuration (platform, n,
-  /// shape, regime, speeds/models, granularity, preset fields) — the same
-  /// caller-asserted contract as blas b_pack_key — and share one cached
-  /// partition + areas instead of re-running Steps 1-2. The key also seeds
-  /// the job's pack namespace, so identical jobs additionally reuse packed
-  /// B panels across the stream. Ignored without an active context.
+  /// shape, regime, speeds/models, granularity, preset fields) and share
+  /// one cached partition + areas instead of re-running Steps 1-2. Ignored
+  /// without an active context.
   std::uint64_t plan_cache_key = 0;
 
   /// Run-to-run measurement noise: lognormal sigma applied to every local

@@ -25,9 +25,8 @@ RuntimeContext::RuntimeContext(const Options& options)
   }
   // Size the pool once for the context's lifetime. Both calls are quiescent
   // points (nothing of this context is in flight yet); their hooks trim the
-  // PackCache / schedule cache left over from earlier standalone runs, after
-  // which the caches accumulate across jobs until the context is destroyed
-  // or invalidated.
+  // schedule cache left over from earlier standalone runs, after which it
+  // accumulates across jobs until the context is destroyed.
   if (options.reserved_threads >= 0) {
     sgpool::Pool::set_reserved_threads(options.reserved_threads);
   }
@@ -44,18 +43,6 @@ RuntimeContext::~RuntimeContext() {
 
 RuntimeContext* RuntimeContext::current() {
   return g_current.load(std::memory_order_acquire);
-}
-
-std::uint64_t RuntimeContext::epoch() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return epoch_;
-}
-
-void RuntimeContext::invalidate() {
-  std::lock_guard<std::mutex> lk(mu_);
-  ++epoch_;
-  lru_.clear();
-  index_.clear();
 }
 
 std::shared_ptr<const JobPlan> RuntimeContext::plan_for(

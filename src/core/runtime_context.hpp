@@ -3,21 +3,23 @@
 //
 // Historically run_pmm implicitly owned that state: every call resized the
 // sgpool compute pool (a quiescent-only operation whose hooks also drop the
-// blas PackCache and the SharedSchedule cache), so two concurrent callers
-// raced on the pool and wiped each other's caches, and nothing could reuse
-// partitions or packed panels across calls. A RuntimeContext makes the
-// ownership explicit for multi-job execution (src/service):
+// SharedSchedule cache), so two concurrent callers raced on the pool and
+// wiped each other's caches, and nothing could reuse partitions across
+// calls. A RuntimeContext makes the ownership explicit for multi-job
+// execution (src/service):
 //
 //   * the pool is sized once, when the context activates (a genuine
 //     quiescent point); jobs never reconfigure it;
-//   * the PackCache and SharedSchedule cache survive across jobs — their
-//     quiescent trims only fire at context (re)activation — so identical
-//     back-to-back jobs reuse packed B panels and cached plan/task graphs;
+//   * the SharedSchedule cache survives across jobs — its quiescent trim
+//     only fires at context activation — so identical back-to-back jobs
+//     reuse cached plan/task graphs;
 //   * a plan cache keyed by caller-asserted job signatures lets identical
 //     jobs share one partition + per-rank areas (the expensive Step-1/2
-//     work of the paper's pipeline);
-//   * a context epoch namespaces every cross-job cache key, so
-//     invalidate() cuts off all reuse from earlier epochs at once.
+//     work of the paper's pipeline).
+//
+// The context caches plans and schedules only. Every dgemm packs its own B
+// blocks, so no packed panel or other pooled scratch outlives the job that
+// leased it.
 //
 // Exactly one context can be active at a time; run_pmm picks it up via
 // RuntimeContext::current(). With no active context run_pmm behaves exactly
@@ -76,18 +78,9 @@ class RuntimeContext {
   /// The active context, or nullptr (standalone run_pmm behaviour).
   static RuntimeContext* current();
 
-  /// Monotonic cache epoch, folded into every cross-job cache key.
-  std::uint64_t epoch() const;
-
-  /// Bumps the epoch and clears the plan cache: every cross-job reuse
-  /// channel (plans, pack namespaces) is severed at once. Safe to call
-  /// with jobs in flight — running jobs keep their shared_ptr'd plans and
-  /// their own epoch-tagged pack entries.
-  void invalidate();
-
   /// The cached plan for `key`, building (and caching) it via `build` on a
-  /// miss. Key identity is caller-asserted, like blas b_pack_key: callers
-  /// passing equal keys promise identical plan-relevant configuration.
+  /// miss. Key identity is caller-asserted: callers passing equal keys
+  /// promise identical plan-relevant configuration.
   /// `hit` (optional) reports whether the plan was served from cache.
   /// Concurrent same-key callers may both build; one result wins the cache
   /// (build is deterministic, so the copies are identical).
@@ -99,7 +92,6 @@ class RuntimeContext {
 
  private:
   mutable std::mutex mu_;
-  std::uint64_t epoch_ = 1;  ///< guarded by mu_
   std::size_t capacity_;
   /// LRU: most-recently-used at the front; the map stores list iterators.
   struct Entry {

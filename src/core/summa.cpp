@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "src/blas/pack_cache.hpp"
 #include "src/core/panel_bcast.hpp"
 #include "src/core/taskgraph/executor.hpp"
 #include "src/core/taskgraph/taskgraph.hpp"
@@ -13,10 +12,6 @@
 
 namespace summagen::core {
 namespace {
-
-/// Scheduler constant folded into pack tags so different schedulers never
-/// collide on a key even for identical geometry.
-constexpr std::uint64_t kSummaPackTag = 0x53554d4d41ull;  // "SUMMA"
 
 void validate_config(std::int64_t n, const SummaConfig& config) {
   if (n <= 0) throw std::invalid_argument("summa: n <= 0");
@@ -150,18 +145,8 @@ SummaReport summa_rank(sgmpi::Comm& world, std::int64_t n,
     } else {
       const util::MatrixView wa(wa_store.data(), my_rows, bcur, bcur);
       const util::MatrixView wb(wb_store.data(), bcur, my_cols, my_cols);
-      // WB holds B[k0:k0+bcur, col0:col0+my_cols] — identical on every
-      // rank of my processor column, so tag it for the blas pack cache
-      // (coordinates + runtime uid fully determine the content).
-      const std::int64_t col0 = balanced_part_offset(n, config.pc, gj);
-      const std::uint64_t wb_key = blas::pack_tag(
-          {world.context_uid(), kSummaPackTag, static_cast<std::uint64_t>(n),
-           static_cast<std::uint64_t>(k0), static_cast<std::uint64_t>(bcur),
-           static_cast<std::uint64_t>(col0),
-           static_cast<std::uint64_t>(my_cols)});
       cost = ap.run_gemm(my_rows, my_cols, bcur, wa.data(), bcur, wb.data(),
-                         my_cols, data->c_block().data(), my_cols, contended,
-                         wb_key);
+                         my_cols, data->c_block().data(), my_cols, contended);
     }
     auto& clk = world.clock();
     const double t0 = clk.now();

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "src/blas/pack_cache.hpp"
 #include "src/core/panel_bcast.hpp"
 #include "src/core/taskgraph/executor.hpp"
 #include "src/core/taskgraph/taskgraph.hpp"
@@ -13,10 +12,6 @@
 
 namespace summagen::core {
 namespace {
-
-/// Scheduler constant folded into pack tags (keeps 2.5D keys disjoint from
-/// plain SUMMA's even for identical geometry).
-constexpr std::uint64_t kSumma25dPackTag = 0x53323544ull;  // "S25D"
 
 void validate_config(std::int64_t n, const Summa25dConfig& config) {
   if (n <= 0) throw std::invalid_argument("summa25d: n <= 0");
@@ -193,18 +188,8 @@ Summa25dReport summa25d_rank(sgmpi::Comm& world, std::int64_t n,
     } else {
       const util::MatrixView wa(wa_store.data(), my.rows, bcur, bcur);
       const util::MatrixView wb(wb_store.data(), bcur, my.cols, my.cols);
-      // WB holds B[k0:k0+bcur, col0:col0+my.cols] — identical on every
-      // rank of my layer column, so tag it for the blas pack cache.
-      const std::int64_t col0 = balanced_part_offset(n, config.q, gj);
-      const std::uint64_t wb_key = blas::pack_tag(
-          {world.context_uid(), kSumma25dPackTag,
-           static_cast<std::uint64_t>(n), static_cast<std::uint64_t>(k0),
-           static_cast<std::uint64_t>(bcur),
-           static_cast<std::uint64_t>(col0),
-           static_cast<std::uint64_t>(my.cols)});
       cost = ap.run_gemm(my.rows, my.cols, bcur, wa.data(), bcur, wb.data(),
-                         my.cols, data->c_block().data(), my.cols, contended,
-                         wb_key);
+                         my.cols, data->c_block().data(), my.cols, contended);
     }
     auto& clk = world.clock();
     const double t0 = clk.now();

@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/blas/pack_cache.hpp"
 #include "src/core/plan.hpp"
 #include "src/core/taskgraph/executor.hpp"
 #include "src/core/taskgraph/taskgraph.hpp"
@@ -40,10 +39,6 @@ Scheduler parse_scheduler(const std::string& name) {
 }
 
 namespace {
-
-/// Scheduler constant folded into pack tags (disjoint from the SUMMA and
-/// 2.5D key spaces even for identical geometry).
-constexpr std::uint64_t kSummagenPackTag = 0x5347454eull;  // "SGEN"
 
 /// The rank-invariant (plan, graph) pair. Every rank derives the same
 /// ExecutionPlan and TaskGraph from (spec, bcast_panel_rows) — build_plan
@@ -130,17 +125,12 @@ struct Frame {
   std::vector<std::int64_t> coff;
   std::int64_t wa_base = 0;  ///< first matrix row covered by WA
   std::int64_t wb_base = 0;  ///< first matrix column covered by WB
-  /// Pack-tag namespace: the run's context uid, or the caller-asserted
-  /// SummaGenOptions::pack_namespace when set (cross-job panel reuse).
-  std::uint64_t pack_ns = 0;
 
-  Frame(const partition::PartitionSpec& spec_in, int rank, LocalData* data_in,
-        std::uint64_t pack_ns_in)
+  Frame(const partition::PartitionSpec& spec_in, int rank, LocalData* data_in)
       : spec(spec_in),
         data(data_in),
         roff(spec_in.row_offsets()),
-        coff(spec_in.col_offsets()),
-        pack_ns(pack_ns_in) {
+        coff(spec_in.col_offsets()) {
     wa_base = roff[static_cast<std::size_t>(spec.row_span(rank).first)];
     wb_base = coff[static_cast<std::size_t>(spec.col_span(rank).first)];
   }
@@ -217,23 +207,9 @@ void exec_gemm(sgmpi::Comm& world, const Frame& frame,
                    (frame.roff[static_cast<std::size_t>(g.bi)] - cr.row0) *
                        cv.ld() +
                    (frame.coff[static_cast<std::size_t>(g.bj)] - cr.col0);
-    // The B operand is columns [coff[bj], coff[bj]+w) of global B over the
-    // full k axis — bit-identical on every rank computing a cell of
-    // sub-partition column bj (different WB buffers and ld, same values),
-    // so tag it for the blas pack cache. The partition epoch namespaces the
-    // tag per re-partition phase: a pre-re-partition pack can never serve a
-    // post-re-partition lookup.
-    const std::uint64_t wb_key = blas::pack_tag(
-        {frame.pack_ns, kSummagenPackTag,
-         ft != nullptr ? ft->partition_epoch : 0,
-         static_cast<std::uint64_t>(spec.n), 0,
-         static_cast<std::uint64_t>(spec.n),
-         static_cast<std::uint64_t>(
-             frame.coff[static_cast<std::size_t>(g.bj)]),
-         static_cast<std::uint64_t>(w)});
     cost = ap.run_gemm(h, w, spec.n, frame.wa.row(wa_row0), frame.wa.ld(),
                        frame.wb.data() + wb_col0, frame.wb.ld(), cptr,
-                       cv.ld(), contended, wb_key);
+                       cv.ld(), contended);
   }
 
   // A planned rank-slowdown fault scales the device's modeled time; the
@@ -312,20 +288,9 @@ void exec_gemm_chunk(sgmpi::Comm& world, const Frame& frame,
     // run_gemm accumulates (beta = 1); its returned cost describes a
     // standalone (h, w, kc) kernel and is discarded in favour of `full`'s
     // pro-rata share.
-    // Same cross-rank identity as exec_gemm, restricted to the chunk's
-    // k-range [k0, k1) — which the tag must therefore include.
-    const std::uint64_t wb_key = blas::pack_tag(
-        {frame.pack_ns, kSummagenPackTag,
-         ft != nullptr ? ft->partition_epoch : 0,
-         static_cast<std::uint64_t>(spec.n),
-         static_cast<std::uint64_t>(ch.k0),
-         static_cast<std::uint64_t>(kc),
-         static_cast<std::uint64_t>(
-             frame.coff[static_cast<std::size_t>(g.bj)]),
-         static_cast<std::uint64_t>(w)});
     ap.run_gemm(h, w, kc, frame.wa.row(wa_row0) + ch.k0, frame.wa.ld(),
                 frame.wb.row(ch.k0) + wb_col0, frame.wb.ld(), cptr, cv.ld(),
-                contended, wb_key);
+                contended);
   }
 
   const double share =
@@ -382,9 +347,7 @@ RankReport summagen_rank(sgmpi::Comm& world,
         "summagen_rank: pass nullptr for the modeled plane");
   }
   const int rank = world.rank();
-  Frame frame(spec, rank, data,
-              options.pack_namespace != 0 ? options.pack_namespace
-                                          : world.context_uid());
+  Frame frame(spec, rank, data);
 
   RankReport report;
 

@@ -78,18 +78,6 @@ struct SummaGenOptions {
   /// posts ahead of the completion front). <= 0 means unbounded; kEager
   /// ignores it.
   int overlap_depth = 2;
-
-  /// Caller-asserted namespace for the blas pack-cache B-panel tags. 0
-  /// (default): tags are namespaced by the runtime's context uid — packed
-  /// panels are shared within one run only, the historical behaviour.
-  /// Non-zero: the value replaces the context uid in the tags, so two runs
-  /// passing the same namespace share packed panels *across jobs*. Callers
-  /// passing equal namespaces promise bit-identical global B contents
-  /// (same n, same fill seed) — the same caller-asserted identity contract
-  /// as blas b_pack_key. The multi-job service derives this from
-  /// (context epoch, plan key, seed); recovery phases stay safe either way
-  /// because the partition epoch is always folded in alongside.
-  std::uint64_t pack_namespace = 0;
 };
 
 /// Per-rank accounting returned by one SummaGen execution.
@@ -130,12 +118,6 @@ struct FtContext {
   /// quantum's start time; numeric kernels are unaffected (the simulated
   /// background load stretches modeled time only).
   std::function<double(double)> drift_factor;
-
-  /// Partition epoch of this execution phase (0 for the initial plan, the
-  /// recovery round otherwise). Folded into the blas pack-cache B-panel
-  /// tags so a packed panel from a pre-re-partition layout can never be
-  /// reused after operand coordinates change meaning.
-  std::uint64_t partition_epoch = 0;
 
   /// Drift detector hook, invoked after every owned compute step with the
   /// step's predicted (static model incl. fault slowdowns) and observed

@@ -160,19 +160,15 @@ KernelCost AbstractProcessor::run_gemm(std::int64_t m, std::int64_t n,
                                        std::int64_t k, const double* a,
                                        std::int64_t lda, const double* b,
                                        std::int64_t ldb, double* c,
-                                       std::int64_t ldc, bool contended,
-                                       std::uint64_t b_pack_key) const {
+                                       std::int64_t ldc, bool contended) const {
   const KernelCost cost = kernel_cost(m, n, k, contended);
   if (m <= 0 || n <= 0 || k <= 0) return cost;
   if (cost.ooc_passes > 1) {
     // Real out-of-core path: exercises the ZZGemmOOC-style slab engine.
-    // Slabs slice B per pass, so the whole-operand pack key does not apply.
     out_of_core_gemm(m, n, k, a, lda, b, ldb, c, ldc, spec_.memory_bytes,
                      numeric_kernel_);
   } else {
-    blas::GemmOptions opts = numeric_kernel_;
-    opts.b_pack_key = b_pack_key;
-    blas::dgemm(m, n, k, 1.0, a, lda, b, ldb, 1.0, c, ldc, opts);
+    blas::dgemm(m, n, k, 1.0, a, lda, b, ldb, 1.0, c, ldc, numeric_kernel_);
   }
   return cost;
 }

@@ -121,14 +121,10 @@ class AbstractProcessor {
   /// Numerically computes C += A*B with the configured sgblas kernel and
   /// returns the modeled cost. When the footprint exceeds device memory the
   /// computation takes the real out-of-core path (slabbed; see ooc.hpp).
-  /// A non-zero `b_pack_key` asserts the B operand's content identity to
-  /// the blas pack cache (see GemmOptions::b_pack_key); it applies to the
-  /// in-core path only.
   KernelCost run_gemm(std::int64_t m, std::int64_t n, std::int64_t k,
                       const double* a, std::int64_t lda, const double* b,
                       std::int64_t ldb, double* c, std::int64_t ldc,
-                      bool contended = true,
-                      std::uint64_t b_pack_key = 0) const;
+                      bool contended = true) const;
 
   /// Builds this processor's Figure-5 speed function by sampling the model
   /// at the given edges (speed = 2*edge^3 / modeled time).

@@ -41,8 +41,6 @@ const trace::VirtualClock& Comm::clock() const {
 
 trace::EventLog& Comm::events() { return ctx_->event_log; }
 
-std::uint64_t Comm::context_uid() const noexcept { return ctx_->uid; }
-
 const trace::HockneyParams& Comm::link() const {
   return ctx_->state(state_index_).link;
 }

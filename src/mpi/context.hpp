@@ -137,19 +137,9 @@ struct CommState {
 
 namespace summagen::sgmpi {
 
-namespace detail {
-/// Monotone id source for Context::uid (defined in runtime.cpp).
-std::uint64_t next_context_uid();
-}  // namespace detail
-
 /// Whole-runtime shared state (one per Runtime).
 class Context {
  public:
-  /// Process-unique id of this runtime instance. Lets per-runtime cache
-  /// keys (the blas pack cache) stay distinct across Runtime lifetimes
-  /// even when allocator reuse hands a new Context the same address.
-  const std::uint64_t uid = detail::next_context_uid();
-
   explicit Context(Config config_in)
       : config(std::move(config_in)),
         clocks(static_cast<std::size_t>(config.nranks)),

@@ -299,11 +299,6 @@ class Comm {
   /// Event log of the run (shared, may be disabled).
   trace::EventLog& events();
 
-  /// Process-unique id of the owning runtime (Context::uid) — stable for
-  /// every communicator of one Runtime, distinct across Runtimes. Used to
-  /// namespace per-run cache keys such as blas pack tags.
-  std::uint64_t context_uid() const noexcept;
-
   /// Hockney parameters used by this communicator: the intra-node fabric
   /// if all members share a node, the inter-node link otherwise.
   const trace::HockneyParams& link() const;

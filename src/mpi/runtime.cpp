@@ -9,13 +9,6 @@
 
 namespace summagen::sgmpi {
 
-namespace detail {
-std::uint64_t next_context_uid() {
-  static std::atomic<std::uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
-}  // namespace detail
-
 const char* to_string(Engine engine) noexcept {
   return engine == Engine::kModeled ? "modeled" : "thread";
 }

@@ -89,9 +89,9 @@ class Pool {
 
   /// Registers a callback run at every quiescent point — currently the top
   /// of configure(), i.e. once per experiment run, before any tasks of the
-  /// new run are in flight. Used by process-wide caches (the blas pack
-  /// cache) to release storage between runs. Hooks are never removed and
-  /// must be safe to call with no tasks in flight.
+  /// new run are in flight. Used by process-wide caches (the core
+  /// SharedSchedule cache) to drop the previous run's entries. Hooks are
+  /// never removed and must be safe to call with no tasks in flight.
   static void add_quiescent_hook(std::function<void()> hook);
 
   /// Total worker threads ever spawned by any Pool in this process — the

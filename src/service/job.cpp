@@ -6,8 +6,8 @@ namespace summagen::service {
 namespace {
 
 /// Order-sensitive 64-bit fold (FNV-1a over words with an avalanche
-/// finisher) — same role as blas::pack_tag but accumulating, so vectors of
-/// unknown length fold in without materialising an initializer list.
+/// finisher), accumulating so vectors of unknown length fold in without
+/// materialising an initializer list.
 class Mixer {
  public:
   void fold(std::uint64_t v) {
@@ -89,7 +89,6 @@ std::uint64_t job_signature(const core::ExperimentConfig& config,
   m.fold(static_cast<std::uint64_t>(config.summagen_options.bcast_panel_rows));
   m.fold(static_cast<std::uint64_t>(config.summagen_options.scheduler));
   m.fold(static_cast<std::uint64_t>(config.summagen_options.overlap_depth));
-  m.fold(config.summagen_options.pack_namespace);
   m.fold(config.numeric ? 1 : 0);
   m.fold(config.record_events ? 1 : 0);
   m.fold(config.contended ? 1 : 0);

@@ -55,10 +55,10 @@ double job_cost_units(const core::ExperimentConfig& config);
 /// layout, CPM speed bits, engine, scheduler and its options, the numeric
 /// flag and fill seed, the kernel, SIMD tier and fast-MM options, the
 /// collective pricing options, and the platform's processor count. It
-/// does NOT hash full platform or FPM-model contents — per the repo's
-/// caller-asserted identity idiom (blas b_pack_key), a
-/// caller mixing distinct platforms or custom models in one service must
-/// make them distinguishable via `salt` (e.g. an index per platform).
+/// does NOT hash full platform or FPM-model contents — the identity is
+/// caller-asserted, so a caller mixing distinct platforms or custom models
+/// in one service must make them distinguishable via `salt` (e.g. an index
+/// per platform).
 std::uint64_t job_signature(const core::ExperimentConfig& config,
                             std::uint64_t salt = 0);
 

@@ -3,13 +3,13 @@
 // simulator (simulator.hpp) is the virtual-clock twin for benchmarking.
 //
 // One PmmService owns one core::RuntimeContext (shared pool, plan cache,
-// pack cache, schedule cache) and a fixed set of executor threads draining
-// a JobQueue under DWRR fairness. submit() returns a future; jobs shed at
-// admission resolve immediately with JobStatus::kShed. Batchable jobs
-// (equal non-zero signatures) coalesce into one run_pmm whose result is
-// delivered to every member, and their signature doubles as the
-// plan_cache_key / pack namespace, so a stream of identical jobs re-plans
-// and re-packs exactly once.
+// schedule cache) and a fixed set of executor threads draining a JobQueue
+// under DWRR fairness. submit() returns a future; jobs shed at admission
+// resolve immediately with JobStatus::kShed. Batchable jobs (equal
+// non-zero signatures) coalesce into one run_pmm whose result is delivered
+// to every member, and their signature doubles as the plan_cache_key, so a
+// stream of identical jobs re-plans exactly once. Each job packs its own
+// B panels; no pooled buffer outlives the job that leased it.
 #pragma once
 
 #include <condition_variable>
@@ -41,8 +41,8 @@ class PmmService {
     /// identity the signature does not hash (distinct platforms, custom
     /// FPM models); see job_signature's contract.
     std::uint64_t signature_salt = 0;
-    /// Use each batchable job's signature as its plan_cache_key (and thus
-    /// pack namespace) for cross-job reuse. Off = every job re-plans.
+    /// Use each batchable job's signature as its plan_cache_key for
+    /// cross-job plan reuse. Off = every job re-plans.
     bool reuse_plans = true;
   };
 

@@ -15,8 +15,6 @@ std::atomic<std::int64_t> g_pool_acquires{0};
 std::atomic<std::int64_t> g_pool_hits{0};
 std::atomic<std::int64_t> g_pool_resident{0};
 std::atomic<std::int64_t> g_pool_peak_resident{0};
-std::atomic<std::int64_t> g_pack_lookups{0};
-std::atomic<std::int64_t> g_pack_hits{0};
 std::atomic<std::int64_t> g_sched_lookups{0};
 std::atomic<std::int64_t> g_sched_hits{0};
 std::atomic<std::int64_t> g_fastmm_leases{0};
@@ -34,8 +32,6 @@ DataPlaneStats DataPlaneStats::since(const DataPlaneStats& base) const {
   d.copy_bytes -= base.copy_bytes;
   d.pool_acquires -= base.pool_acquires;
   d.pool_hits -= base.pool_hits;
-  d.pack_lookups -= base.pack_lookups;
-  d.pack_hits -= base.pack_hits;
   d.sched_lookups -= base.sched_lookups;
   d.sched_hits -= base.sched_hits;
   d.fastmm_leases -= base.fastmm_leases;
@@ -53,8 +49,6 @@ DataPlaneStats data_plane_stats() {
   s.pool_hits = g_pool_hits.load(kRelaxed);
   s.pool_resident_bytes = g_pool_resident.load(kRelaxed);
   s.pool_peak_resident_bytes = g_pool_peak_resident.load(kRelaxed);
-  s.pack_lookups = g_pack_lookups.load(kRelaxed);
-  s.pack_hits = g_pack_hits.load(kRelaxed);
   s.sched_lookups = g_sched_lookups.load(kRelaxed);
   s.sched_hits = g_sched_hits.load(kRelaxed);
   s.fastmm_leases = g_fastmm_leases.load(kRelaxed);
@@ -70,8 +64,6 @@ DataPlaneStats StatsSink::snapshot() const {
   s.copy_bytes = copy_bytes_.load(kRelaxed);
   s.pool_acquires = pool_acquires_.load(kRelaxed);
   s.pool_hits = pool_hits_.load(kRelaxed);
-  s.pack_lookups = pack_lookups_.load(kRelaxed);
-  s.pack_hits = pack_hits_.load(kRelaxed);
   s.sched_lookups = sched_lookups_.load(kRelaxed);
   s.sched_hits = sched_hits_.load(kRelaxed);
   s.fastmm_leases = fastmm_leases_.load(kRelaxed);
@@ -86,8 +78,6 @@ void StatsSink::add(const DataPlaneStats& d) {
   copy_bytes_.fetch_add(d.copy_bytes, kRelaxed);
   pool_acquires_.fetch_add(d.pool_acquires, kRelaxed);
   pool_hits_.fetch_add(d.pool_hits, kRelaxed);
-  pack_lookups_.fetch_add(d.pack_lookups, kRelaxed);
-  pack_hits_.fetch_add(d.pack_hits, kRelaxed);
   sched_lookups_.fetch_add(d.sched_lookups, kRelaxed);
   sched_hits_.fetch_add(d.sched_hits, kRelaxed);
   fastmm_leases_.fetch_add(d.fastmm_leases, kRelaxed);
@@ -132,15 +122,6 @@ void record_pool_acquire(bool hit) {
   if (StatsSink* s = current_stats_sink()) {
     s->pool_acquires_.fetch_add(1, kRelaxed);
     if (hit) s->pool_hits_.fetch_add(1, kRelaxed);
-  }
-}
-
-void record_pack_lookup(bool hit) {
-  g_pack_lookups.fetch_add(1, kRelaxed);
-  if (hit) g_pack_hits.fetch_add(1, kRelaxed);
-  if (StatsSink* s = current_stats_sink()) {
-    s->pack_lookups_.fetch_add(1, kRelaxed);
-    if (hit) s->pack_hits_.fetch_add(1, kRelaxed);
   }
 }
 

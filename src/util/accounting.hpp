@@ -17,7 +17,7 @@
 // with the work: a rank thread installs its job's sink for its lifetime,
 // and sgpool tasks inherit the submitting thread's sink (the pool
 // propagates the thread-local task token from submit to execution), so a
-// DGEMM pack running on a stolen worker still bills the right job.
+// DGEMM band running on a stolen worker still bills the right job.
 #pragma once
 
 #include <atomic>
@@ -36,8 +36,10 @@ struct DataPlaneStats {
   std::int64_t pool_hits = 0;      ///< acquires served from a freelist
   std::int64_t pool_resident_bytes = 0;  ///< pooled bytes currently alive
   std::int64_t pool_peak_resident_bytes = 0;  ///< high-water mark of above
-  std::int64_t pack_lookups = 0;  ///< blas PackCache lease lookups
-  std::int64_t pack_hits = 0;     ///< lookups served by an existing panel
+  /// Always 0: kept for readers of the retired B-pack cache's counters
+  /// (every dgemm now packs its own B blocks).
+  std::int64_t pack_lookups = 0;
+  std::int64_t pack_hits = 0;
   std::int64_t sched_lookups = 0;  ///< shared plan/task-graph cache lookups
   std::int64_t sched_hits = 0;     ///< lookups served by a cached schedule
   std::int64_t fastmm_leases = 0;  ///< fast-MM temporary buffers leased
@@ -49,14 +51,6 @@ struct DataPlaneStats {
                ? 0.0
                : static_cast<double>(pool_hits) /
                      static_cast<double>(pool_acquires);
-  }
-
-  /// Fraction of pack-cache lookups that reused an already-packed B block.
-  double pack_hit_rate() const {
-    return pack_lookups == 0
-               ? 0.0
-               : static_cast<double>(pack_hits) /
-                     static_cast<double>(pack_lookups);
   }
 
   /// Fraction of schedule-cache lookups served by a cached plan/graph.
@@ -98,7 +92,6 @@ class StatsSink {
   friend void record_alloc(std::int64_t);
   friend void record_copy(std::int64_t);
   friend void record_pool_acquire(bool);
-  friend void record_pack_lookup(bool);
   friend void record_sched_lookup(bool);
   friend void record_fastmm_lease(std::int64_t);
 
@@ -108,8 +101,6 @@ class StatsSink {
   std::atomic<std::int64_t> copy_bytes_{0};
   std::atomic<std::int64_t> pool_acquires_{0};
   std::atomic<std::int64_t> pool_hits_{0};
-  std::atomic<std::int64_t> pack_lookups_{0};
-  std::atomic<std::int64_t> pack_hits_{0};
   std::atomic<std::int64_t> sched_lookups_{0};
   std::atomic<std::int64_t> sched_hits_{0};
   std::atomic<std::int64_t> fastmm_leases_{0};
@@ -144,9 +135,6 @@ void record_copy(std::int64_t bytes);
 
 /// Records one BufferPool::acquire (`hit` = served from a freelist).
 void record_pool_acquire(bool hit);
-
-/// Records one blas PackCache lookup (`hit` = reused a packed B block).
-void record_pack_lookup(bool hit);
 
 /// Records one shared-schedule cache lookup (`hit` = reused a cached
 /// ExecutionPlan + TaskGraph instead of rebuilding them).

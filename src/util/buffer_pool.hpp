@@ -11,6 +11,11 @@
 // bytes, resident peak) via src/util/accounting.hpp.
 //
 // Buffers are NOT zero-initialised on acquire — callers overwrite them.
+//
+// Contract: every lease ends with the call or run that took it. dgemm
+// releases its pack buffers and run_pmm its workspaces before returning,
+// and no cache keeps a PooledBuffer alive across calls, so with no run in
+// flight trim() leaves nothing resident (tests/core/alloc_test.cpp).
 #pragma once
 
 #include <array>

@@ -15,6 +15,7 @@
 
 #include "src/core/runner.hpp"
 #include "src/util/accounting.hpp"
+#include "src/util/buffer_pool.hpp"
 
 namespace summagen {
 namespace {
@@ -116,6 +117,18 @@ TEST(AllocSteadyState, TaskGraphChunkCountDoesNotChangeAllocations) {
   EXPECT_LE(coarse.alloc.allocs, 4);
   EXPECT_LE(fine.alloc.allocs, 4);
   EXPECT_LE(fine.alloc.alloc_bytes, 4 * kMiB);
+}
+
+// Every pooled lease ends with the call or run that took it: once a run
+// has returned, trimming the pool's idle buffers leaves nothing resident.
+// A packed B block kept alive across runs would show up here.
+TEST(AllocSteadyState, FinishedRunHoldsNoPooledMemory) {
+  ExperimentConfig config =
+      numeric_config(Shape::kSquareCorner, Scheduler::kTaskGraph);
+  config.n = 512;  // the default platform: HCLServer1
+  ASSERT_TRUE(core::run_pmm(config).verified);
+  util::BufferPool::instance().trim();
+  EXPECT_EQ(util::data_plane_stats().pool_resident_bytes, 0);
 }
 
 }  // namespace

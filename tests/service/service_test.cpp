@@ -10,6 +10,8 @@
 #include <vector>
 
 #include "src/service/service.hpp"
+#include "src/util/accounting.hpp"
+#include "src/util/buffer_pool.hpp"
 
 namespace summagen::service {
 namespace {
@@ -106,6 +108,24 @@ TEST(PmmService, IdenticalJobsReuseThePlanAcrossTheStream) {
   const auto stats = service.runtime().plan_cache_stats();
   EXPECT_EQ(stats.entries, 1);
   EXPECT_EQ(stats.hits, 1);
+}
+
+TEST(PmmService, DrainedServiceHoldsNoPooledMemory) {
+  // No packed panel or other pooled scratch outlives the job that leased
+  // it: after two identical numeric jobs, trimming the pool's idle buffers
+  // leaves nothing resident, even with the service (and its runtime
+  // context) still alive.
+  PmmService service(small_service(1));
+  const core::ExperimentConfig config =
+      numeric_config(partition::Shape::kSquareCorner);
+  for (int i = 0; i < 2; ++i) {
+    const JobResult r = service.submit("t", config).get();
+    ASSERT_EQ(r.status, JobStatus::kCompleted) << r.error;
+    EXPECT_TRUE(r.result.verified);
+  }
+  service.drain();
+  util::BufferPool::instance().trim();
+  EXPECT_EQ(util::data_plane_stats().pool_resident_bytes, 0);
 }
 
 TEST(PmmService, BatchesIdenticalQueuedJobs) {
