@@ -17,8 +17,8 @@
 //        --node-procs 0   (0 = heterogeneous HCLServer1 node, 3 procs;
 //                          K>0 = K identical procs per node — with
 //                          --node-procs 4, --nodes 256/1024 gives the
-//                          p=1024/4096 scale-out points)
-//        --engine thread|modeled   (modeled = fibers, cheap at large p)
+//                          p=1024/4096 scale-out points; every rank is a
+//                          fiber, so large p costs one thread)
 //        --scheduler eager|taskgraph   (taskgraph = dataflow overlap)
 //        --bcast-algo tree|flat|ring|pipelined|auto
 //        --two-level               (topology-aware two-stage collectives)
@@ -101,7 +101,6 @@ int main(int argc, char** argv) {
   double net_gbps = 0.0;
   std::int64_t node_procs = 0;
   std::vector<std::string> partitioners;
-  sgmpi::Engine engine = sgmpi::Engine::kThread;
   core::Scheduler scheduler = core::Scheduler::kEager;
   trace::BcastAlgo bcast_algo = trace::BcastAlgo::kTree;
   bool two_level = false;
@@ -112,7 +111,6 @@ int main(int argc, char** argv) {
     node_procs = cli.get_int_min("node-procs", 0, 0);
     partitioners = split_csv(cli.get(
         "partitioners", "nrrp,hierarchical,column_based,one_dimensional"));
-    engine = sgmpi::parse_engine(cli.get("engine", "thread"));
     try {
       scheduler = core::parse_scheduler(cli.get("scheduler", "eager"));
     } catch (const std::invalid_argument& e) {
@@ -176,7 +174,6 @@ int main(int argc, char** argv) {
       config.platform = platform;
       config.n = n;
       config.preset_spec = spec;
-      config.engine = engine;
       config.summagen_options.scheduler = scheduler;
       config.bcast_algo = bcast_algo;
       config.two_level_collectives = two_level;
@@ -200,9 +197,8 @@ int main(int argc, char** argv) {
   table
       .render("Strong scaling across cluster nodes, N=" + std::to_string(n) +
               ", " + std::to_string(node_speeds.size()) + " procs/node, " +
-              "network " + util::Table::num(net_gbps, 1) + " GB/s, engine " +
-              sgmpi::to_string(engine) + ", scheduler " +
-              core::to_string(scheduler) + ", bcast " +
+              "network " + util::Table::num(net_gbps, 1) +
+              " GB/s, scheduler " + core::to_string(scheduler) + ", bcast " +
               trace::to_string(bcast_algo))
       .print(std::cout);
   if (baseline_added) {

@@ -1,9 +1,10 @@
 // Micro-benchmark: sgblas DGEMM kernels (the MKL/CUBLAS substrate).
 //
 // Beyond the single-caller kernel sweeps, the `Concurrent3` benchmarks
-// model the in-process platform's three rank threads issuing local DGEMMs
-// against the one shared sgpool executor — the scenario the pool exists
-// for (no per-call thread spawning, no host oversubscription).
+// model three concurrent callers (the paper platform's three processes, or
+// three service jobs in flight) issuing local DGEMMs against the one shared
+// sgpool executor — the scenario the pool exists for (no per-call thread
+// spawning, no host oversubscription).
 //
 // Per-tier entries: BM_GemmPackedTier<Scalar|Sse2|Avx2> are registered for
 // every SIMD tier available on this host, so one run covers the dispatch
@@ -76,8 +77,8 @@ void run_gemm(benchmark::State& state, GemmKernel kernel, int threads,
                           summagen::blas::gemm_flops(n, n, n));
 }
 
-// Three caller threads (the rank-thread count of the paper's platform)
-// each multiply their own n^3 problem concurrently through the shared
+// Three caller threads (the process count of the paper's platform) each
+// multiply their own n^3 problem concurrently through the shared
 // pool. Items processed counts all three multiplications.
 void run_gemm_concurrent3(benchmark::State& state, GemmKernel kernel) {
   constexpr int kCallers = 3;

@@ -41,7 +41,7 @@ namespace {
 
 using summagen::benchjson::JsonEntry;
 
-/// CPM config on the paper platform, modeled engine (virtual times only).
+/// CPM config on the paper platform (virtual times only).
 summagen::core::ExperimentConfig job_config(std::int64_t n,
                                             summagen::partition::Shape shape,
                                             std::uint64_t seed) {
@@ -51,7 +51,6 @@ summagen::core::ExperimentConfig job_config(std::int64_t n,
   config.shape = shape;
   config.regime = summagen::core::Regime::kConstant;
   config.cpm_speeds = {1.0, 2.0, 0.9};
-  config.engine = summagen::sgmpi::Engine::kModeled;
   config.seed = seed;
   return config;
 }

@@ -36,7 +36,8 @@ void usage() {
       "  --numeric          really multiply and verify (n <= 8192)\n"
       "  --kernel NAME      numeric DGEMM kernel: packed (default) | naive\n"
       "  --kernel-threads N shared compute-pool size override (0 = auto:\n"
-      "                     hardware threads minus rank threads)\n"
+      "                     hardware threads minus the one thread that\n"
+      "                     runs every rank as a fiber)\n"
       "  --simd-tier T      packed microkernel tier: auto (default) |\n"
       "                     scalar | sse2 | avx2 (explicit unavailable\n"
       "                     tiers fail; SUMMAGEN_FORCE_SCALAR=1 caps auto)\n"
@@ -48,9 +49,6 @@ void usage() {
       "                     tuned cache else 512)\n"
       "  --fastmm-max-depth D  fast recursion depth cap (default 3)\n"
       "  --scheduler NAME   eager | taskgraph (default eager)\n"
-      "  --engine NAME      thread (default, one OS thread per rank) |\n"
-      "                     modeled (cooperative fibers on one scheduler\n"
-      "                     thread; bit-identical, cheap at large p)\n"
       "  --bcast-algo NAME  collective pricing: tree (default) | flat |\n"
       "                     ring | pipelined | auto\n"
       "  --two-level        price collectives as inter-node stage over\n"
@@ -112,11 +110,6 @@ int main(int argc, char** argv) {
         cli.has("window") ? cli.get_int_min("window", 2, 0)
                           : cli.get_int_min("overlap-depth", 2, 0));
     config.summagen_options.bcast_panel_rows = cli.get_int("panel-rows", 0);
-    try {
-      config.engine = sgmpi::parse_engine(cli.get("engine", "thread"));
-    } catch (const std::invalid_argument& e) {
-      throw util::CliError(std::string("--engine: ") + e.what());
-    }
     try {
       config.bcast_algo =
           trace::parse_bcast_algo(cli.get("bcast-algo", "tree"));

@@ -20,8 +20,8 @@
 //
 // No kernel ever constructs a std::thread: all parallelism is task
 // submission into the persistent process-wide pool (sgpool::Pool), which
-// the experiment runner sizes to hardware_concurrency() minus the live
-// rank threads — mirroring the paper's one-MKL-pool-per-abstract-processor
+// the experiment runner sizes to hardware_concurrency() minus the thread
+// that runs the rank fibers — mirroring the paper's one-MKL-pool-per-abstract-processor
 // setup instead of oversubscribing the host per call.
 #pragma once
 

@@ -142,18 +142,17 @@ ExperimentResult run_pmm(const ExperimentConfig& config) {
 
   RuntimeContext* const ctx = RuntimeContext::current();
   if (ctx == nullptr) {
-    // Size the shared compute pool so rank threads + pool workers together
+    // Size the shared compute pool so this thread + pool workers together
     // fill the host — the paper's one-persistent-MKL-pool-per-processor
     // setup, instead of per-call thread spawns oversubscribing the machine.
-    // config.kernel.threads > 0 overrides (clamped to hardware_concurrency).
-    // Under the modeled engine every rank shares one scheduler thread, so
-    // only that thread is reserved no matter how large p gets.
-    const int reserved = config.engine == sgmpi::Engine::kModeled ? 1 : p;
-    sgpool::Pool::set_reserved_threads(reserved);
+    // Every rank is a fiber on this thread, so one thread is reserved no
+    // matter how large p gets. config.kernel.threads > 0 overrides
+    // (clamped to hardware_concurrency).
+    sgpool::Pool::set_reserved_threads(1);
     sgpool::Pool::configure(config.kernel.threads > 0
                                 ? blas::resolve_gemm_threads(
                                       config.kernel.threads)
-                                : sgpool::Pool::recommended_size(reserved));
+                                : sgpool::Pool::recommended_size(1));
   }
   // else: the context sized the pool once; skipping configure() here is
   // what keeps the schedule cache alive across jobs (and what makes
@@ -191,8 +190,6 @@ ExperimentResult run_pmm(const ExperimentConfig& config) {
   mpi_config.faults = config.faults;
   mpi_config.fault_detect_s = config.fault_detect_s;
   mpi_config.adaptive = config.repartition.enabled;
-  mpi_config.engine = config.engine;
-  mpi_config.fiber_stack_bytes = config.fiber_stack_bytes;
   mpi_config.bcast_algo = config.bcast_algo;
   mpi_config.two_level_collectives = config.two_level_collectives;
   sgmpi::Runtime runtime(mpi_config);
@@ -225,10 +222,10 @@ ExperimentResult run_pmm(const ExperimentConfig& config) {
   // the data plane proper (local stores, broadcasts, workspaces, gather).
   // The window is a per-job StatsSink, not a process-wide snapshot delta —
   // overlapping service jobs would misattribute each other's events to
-  // whichever window happened to be open. The main thread installs the
-  // sink here (covering local stores and the gather); every rank body
-  // installs it on its own thread below, and sgpool propagates it to
-  // pooled tasks, so even stolen DGEMM packs bill this job.
+  // whichever window happened to be open. The calling thread installs the
+  // sink here for the whole run: the rank fibers run on this thread, and
+  // sgpool propagates the sink to pooled tasks, so even stolen DGEMM packs
+  // bill this job.
   util::StatsSink job_stats;
   std::optional<util::ScopedStatsSink> stats_guard;
   stats_guard.emplace(&job_stats);
@@ -255,7 +252,7 @@ ExperimentResult run_pmm(const ExperimentConfig& config) {
   result.reports.resize(static_cast<std::size_t>(p));
 
   // Fault-tolerant runs re-execute in phases; rec_mutex guards the shared
-  // recovery state (completed-cell set and phase list) across rank threads.
+  // recovery state (completed-cell set and phase list) across ranks.
   std::mutex rec_mutex;
   CellSet done;
   std::vector<std::unique_ptr<Phase>> phases;
@@ -320,10 +317,6 @@ ExperimentResult run_pmm(const ExperimentConfig& config) {
 
   if (!fault_tolerant) {
     runtime.run([&](sgmpi::Comm& world) {
-      // Rank bodies run on their own threads (kThread) or as fibers of the
-      // calling thread (kModeled, where this re-installs the same sink);
-      // either way this job's events bill this job's sink.
-      util::ScopedStatsSink rank_stats(&job_stats);
       const int r = world.rank();
       // Drift without re-partitioning: the static plan limps along under
       // the time-varying speeds (the ablation baseline).
@@ -342,7 +335,6 @@ ExperimentResult run_pmm(const ExperimentConfig& config) {
     phases.push_back(std::move(ph0));
 
     runtime.run([&](sgmpi::Comm& world) {
-      util::ScopedStatsSink rank_stats(&job_stats);
       const int wr = world.rank();  // world comm: comm rank == world rank
       std::size_t round = 0;
       for (;;) {

@@ -9,7 +9,6 @@
 // verification against the serial reference.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -64,8 +63,9 @@ struct ExperimentConfig {
   bool contended = true;       ///< paper methodology: co-loaded profiles
   std::uint64_t seed = 42;     ///< matrix initialisation (numeric plane)
   /// Numeric DGEMM kernel. `kernel.threads` == 0 (default) sizes the shared
-  /// compute pool to hardware_concurrency() minus the rank threads; a
-  /// positive value overrides the pool size (clamped to the hardware).
+  /// compute pool to hardware_concurrency() minus the one thread that runs
+  /// the rank fibers; a positive value overrides the pool size (clamped to
+  /// the hardware).
   /// Under an active RuntimeContext the context owns the pool and per-job
   /// pool sizing — including this override — is ignored.
   blas::GemmOptions kernel;
@@ -100,12 +100,10 @@ struct ExperimentConfig {
   /// virtual time, numeric kernels unaffected.
   device::DriftPlan drift;
 
-  /// Execution engine (DESIGN.md §5.14): kThread = one OS thread per rank
-  /// (default), kModeled = cooperative fibers on one scheduler thread —
-  /// results and virtual times bit-identical, p=1024–4096 becomes cheap.
-  sgmpi::Engine engine = sgmpi::Engine::kThread;
-  /// Stack reservation per modeled rank; 0 = the 1 MiB default.
-  std::size_t fiber_stack_bytes = 0;
+  /// Unread: every rank is a fiber on the calling thread (DESIGN.md
+  /// §5.14). Kept only because the frozen bench/e2e/summagen_e2e.cpp
+  /// assigns it; the next benchmark change drops it with sgmpi::Engine.
+  sgmpi::Engine engine = sgmpi::Engine::kModeled;
   /// Broadcast algorithm priced into collective costs; kTree (the
   /// historical binomial tree) keeps virtual times bit-identical.
   trace::BcastAlgo bcast_algo = trace::BcastAlgo::kTree;

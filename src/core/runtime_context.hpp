@@ -50,9 +50,10 @@ struct JobPlan {
 class RuntimeContext {
  public:
   struct Options {
-    /// Rank threads to reserve alongside the pool workers (the service's
-    /// executor slots x ranks per job for the thread engine; slots for the
-    /// modeled engine). Negative = keep the current reservation.
+    /// Threads to reserve alongside the pool workers: one per thread that
+    /// runs jobs (a job runs all its ranks as fibers on the thread that
+    /// called run_pmm, so the service's executor count). Negative = keep
+    /// the current reservation.
     int reserved_threads = -1;
     /// Shared compute-pool size; 0 = recommended_size for the reservation.
     int pool_threads = 0;

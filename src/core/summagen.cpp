@@ -43,8 +43,8 @@ namespace {
 /// The rank-invariant (plan, graph) pair. Every rank derives the same
 /// ExecutionPlan and TaskGraph from (spec, bcast_panel_rows) — build_plan
 /// is deterministic — so the ranks of a run share one immutable copy
-/// instead of each materialising its own. With thousands of modeled-engine
-/// fibers alive at once, per-rank copies cost gigabytes; the shared pair
+/// instead of each materialising its own. With thousands of rank fibers
+/// alive at once, per-rank copies cost gigabytes; the shared pair
 /// costs one rank's worth.
 struct SharedSchedule {
   std::shared_ptr<const ExecutionPlan> plan;
@@ -393,7 +393,7 @@ RankReport summagen_rank(sgmpi::Comm& world,
   // schedule would make, so the total computation time is
   // schedule-invariant. Sparse: a rank only ever prices its own GemmOps,
   // so a dense per-rank vector over all of them would be O(p^2) process-
-  // wide under the modeled engine.
+  // wide at large p.
   std::map<std::size_t, device::KernelCost> full;
   auto full_cost = [&](std::size_t gi) -> const device::KernelCost& {
     auto it = full.find(gi);

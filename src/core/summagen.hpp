@@ -108,8 +108,8 @@ struct FtContext {
   const std::set<std::pair<int, int>>* done = nullptr;
 
   /// Invoked after each owned C sub-partition (bi, bj) finishes — the
-  /// completion tracker recovery snapshots. Must be thread-safe across
-  /// ranks (called from every rank thread).
+  /// completion tracker recovery snapshots. Called from every rank; must
+  /// be safe across ranks.
   std::function<void(int, int)> on_gemm_done;
 
   /// Live drift multiplier for this rank's modeled compute time at a given

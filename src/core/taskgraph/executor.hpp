@@ -32,7 +32,7 @@
 // ordering is what the collectives themselves enforce.
 //
 // Node bodies and the shared pool: per-rank virtual time is a serial
-// resource, so the executor runs node bodies on the rank thread; the
+// resource, so the executor runs node bodies on the rank's fiber; the
 // compute fan-out happens *inside* GEMM nodes, whose kernels run on the
 // process-wide sgpool (src/pool) like every other compute path. The
 // schedule-level concurrency lives on the virtual communication lane:

@@ -71,13 +71,13 @@ void Comm::barrier() {
   const double entry = clock().now();
   double entry_max = 0.0;
   st.meeting.rendezvous(
-      unwind, ctx_->config.poll_interval_s, q,
+      unwind, q,
       [&] { st.entry_max = std::max(st.entry_max, entry); },
       [&] {
         st.op_complete = st.entry_max + barrier_cost(link(), q);
       });
   st.meeting.rendezvous(
-      unwind, ctx_->config.poll_interval_s, q,
+      unwind, q,
       [&] { entry_max = st.entry_max; },
       [&] { st.entry_max = 0.0; });
   clock().wait_until(entry_max);
@@ -98,7 +98,7 @@ double Comm::allreduce_max(double value) {
   const double entry = clock().now();
   const double cost = trace::allreduce_cost(link(), sizeof(double), q);
   st.meeting.rendezvous(
-      unwind, ctx_->config.poll_interval_s, q,
+      unwind, q,
       [&] {
         st.entry_max = std::max(st.entry_max, entry);
         st.reduce_acc = st.reduce_started ? std::max(st.reduce_acc, value)
@@ -109,7 +109,7 @@ double Comm::allreduce_max(double value) {
   const double result = st.reduce_acc;
   double entry_max = 0.0;
   st.meeting.rendezvous(
-      unwind, ctx_->config.poll_interval_s, q,
+      unwind, q,
       [&] { entry_max = st.entry_max; },
       [&] {
         st.entry_max = 0.0;
@@ -131,7 +131,7 @@ double Comm::allreduce_sum(double value) {
   const double entry = clock().now();
   const double cost = trace::allreduce_cost(link(), sizeof(double), q);
   st.meeting.rendezvous(
-      unwind, ctx_->config.poll_interval_s, q,
+      unwind, q,
       [&] {
         st.entry_max = std::max(st.entry_max, entry);
         st.reduce_acc += value;
@@ -140,7 +140,7 @@ double Comm::allreduce_sum(double value) {
   const double result = st.reduce_acc;
   double entry_max = 0.0;
   st.meeting.rendezvous(
-      unwind, ctx_->config.poll_interval_s, q,
+      unwind, q,
       [&] { entry_max = st.entry_max; },
       [&] {
         st.entry_max = 0.0;
@@ -172,7 +172,7 @@ double Comm::allreduce_sum_buffer(double* data, std::int64_t count) {
   const std::size_t ucount = static_cast<std::size_t>(count);
   const int cr = rank();
   st.meeting.rendezvous(
-      unwind, ctx_->config.poll_interval_s, q,
+      unwind, q,
       [&] {
         st.entry_max = std::max(st.entry_max, entry);
         if (data != nullptr) {
@@ -205,7 +205,7 @@ double Comm::allreduce_sum_buffer(double* data, std::int64_t count) {
 
   double entry_max = 0.0;
   st.meeting.rendezvous(
-      unwind, ctx_->config.poll_interval_s, q,
+      unwind, q,
       [&] { entry_max = st.entry_max; },
       [&] {
         st.entry_max = 0.0;
@@ -236,7 +236,7 @@ std::vector<double> Comm::gather(double value, int root) {
   const double cost =
       trace::bcast_rounds(q) * link().p2p(sizeof(double));
   st.meeting.rendezvous(
-      unwind, ctx_->config.poll_interval_s, q,
+      unwind, q,
       [&] {
         st.entry_max = std::max(st.entry_max, entry);
         if (st.gather_buf.size() != static_cast<std::size_t>(q)) {
@@ -249,7 +249,7 @@ std::vector<double> Comm::gather(double value, int root) {
   if (rank_ == root) result = st.gather_buf;
   double entry_max = 0.0;
   st.meeting.rendezvous(
-      unwind, ctx_->config.poll_interval_s, q,
+      unwind, q,
       [&] { entry_max = st.entry_max; },
       [&] {
         st.entry_max = 0.0;
@@ -282,8 +282,8 @@ ShrinkResult Comm::shrink() {
     throw std::logic_error(
         "sgmpi: shrink() requires a fault plan or adaptive mode");
   }
-  ShrinkResult result = ctx_->faults->shrink_arrive(
-      world_rank(), clock().now(), ctx_->config.poll_interval_s);
+  ShrinkResult result =
+      ctx_->faults->shrink_arrive(world_rank(), clock().now());
   // Virtual cost of the agreement: everyone synchronises at the latest
   // arrival, then pays one allreduce over the survivors (the vote).
   const int live = static_cast<int>(result.survivors.size());
@@ -302,8 +302,8 @@ double Comm::ft_commit() {
     throw std::logic_error(
         "sgmpi: ft_commit() requires a fault plan or adaptive mode");
   }
-  const auto [entry_max, live] = ctx_->faults->commit_arrive(
-      world_rank(), clock(), ctx_->config.poll_interval_s);
+  const auto [entry_max, live] =
+      ctx_->faults->commit_arrive(world_rank(), clock());
   const double cost =
       live > 1 ? trace::barrier_cost(ctx_->state(0).link, live) : 0.0;
   clock().advance_comm(cost);

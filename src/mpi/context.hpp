@@ -3,8 +3,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -25,38 +23,29 @@ namespace summagen::sgmpi::detail {
 ///
 /// Waits run `unwind_check` (which throws AbortedError / PeerFailedError
 /// when the run must unwind) so that an exception on one rank unwinds the
-/// whole parallel region instead of deadlocking. Polling backs off
-/// exponentially from min(poll_interval_s, 1 ms) up to poll_interval_s;
-/// aborts and fault triggers notify the condition variable, so unwind
-/// latency is one wakeup, not a full poll period. Under the modeled engine
-/// a blocked participant yields to the fiber scheduler instead of sleeping
-/// (engine_wait_step).
+/// whole parallel region instead of deadlocking. A blocked participant
+/// yields to the fiber scheduler (engine_wait_step) and re-checks on its
+/// next turn, so an abort or fault trigger is seen within one sweep.
 class Meeting {
  public:
   template <typename UnwindCheck, typename Contribute, typename Finalize>
-  void rendezvous(const UnwindCheck& unwind_check, double poll_interval_s,
-                  int size, Contribute&& contribute, Finalize&& finalize) {
+  void rendezvous(const UnwindCheck& unwind_check, int size,
+                  Contribute&& contribute, Finalize&& finalize) {
     std::unique_lock<std::mutex> lock(mutex_);
     contribute();
     if (++count_ == size) {
       finalize();
       count_ = 0;
       ++generation_;
-      cv_.notify_all();
       return;
     }
     const std::uint64_t my_generation = generation_;
-    double backoff_s = std::min(poll_interval_s, 0.001);
     while (generation_ == my_generation) {
       unwind_check();
-      engine_wait_step(lock, cv_, backoff_s, poll_interval_s);
+      engine_wait_step(lock);
     }
     unwind_check();
   }
-
-  /// Wakes every waiter (used on abort / fault trigger so blocked ranks
-  /// re-run their unwind check immediately).
-  void notify() { cv_.notify_all(); }
 
   /// Resets the meeting to its idle state. Only valid when no participant
   /// is inside `rendezvous` (the shrink finaliser holds this invariant:
@@ -65,12 +54,10 @@ class Meeting {
     std::lock_guard<std::mutex> lock(mutex_);
     count_ = 0;
     ++generation_;
-    cv_.notify_all();
   }
 
  private:
   std::mutex mutex_;
-  std::condition_variable cv_;
   int count_ = 0;
   std::uint64_t generation_ = 0;
 };
@@ -114,10 +101,9 @@ struct CommState {
   Meeting meeting;
 
   // Non-blocking collectives (ibcast and the blocking wrappers built on
-  // it). Guarded by `async_mutex`; waiters poll `async_cv` plus the abort
-  // flag, mirroring Meeting.
+  // it). Guarded by `async_mutex`; waiters re-check their slot plus the
+  // abort flag after every yield, mirroring Meeting.
   std::mutex async_mutex;
-  std::condition_variable async_cv;
   std::vector<std::uint64_t> next_post_seq;    ///< per-member post counter
   std::map<std::uint64_t, AsyncSlot> async_slots;  ///< keyed by sequence
 
@@ -159,7 +145,6 @@ class Context {
     if (!config.faults.empty() || config.adaptive) {
       faults = std::make_unique<detail::FaultRuntime>(
           config.faults, config.nranks, config.fault_detect_s);
-      faults->on_trigger = [this] { notify_all_waiters(); };
       faults->fabric_reset = [this] { reset_fabric(); };
     }
   }
@@ -230,16 +215,6 @@ class Context {
     if (aborted.load(std::memory_order_relaxed)) throw AbortedError();
     if (faults) {
       faults->poll(world_rank, clocks[static_cast<std::size_t>(world_rank)]);
-    }
-  }
-
-  /// Wakes every blocked wait in the runtime (meetings and async-collective
-  /// waiters) so they re-run their unwind check.
-  void notify_all_waiters() {
-    std::lock_guard<std::mutex> lock(states_mutex);
-    for (auto& st : states) {
-      st.meeting.notify();
-      st.async_cv.notify_all();
     }
   }
 

@@ -1,32 +1,27 @@
-// Modeled execution engine: many ranks on one OS thread.
+// Rank engine: every sgmpi rank of a run is a fiber on the calling thread.
 //
-// The thread engine (the historical default) backs every sgmpi rank with a
-// std::thread, which caps the simulated cluster at a few dozen ranks — a
-// p=4096 run would need four thousand OS threads and their stacks. The
-// modeled engine replaces them with cooperative fibers: each rank body runs
-// unchanged on a stackful coroutine (ucontext), and one scheduler thread
-// resumes the fibers round-robin in rank order. A rank that would block on a
-// peer (rendezvous, async-slot wait, shrink/commit gate) yields back to the
-// scheduler instead of sleeping on a condition variable, so the whole
-// parallel region is a deterministic single-threaded event loop over virtual
-// time.
+// The paper runs one MPI process per abstract processor. Here each rank body
+// runs unchanged on a stackful coroutine (ucontext), and one scheduler loop
+// on the thread that called Runtime::run resumes the fibers round-robin in
+// rank order. A rank that would block on a peer (rendezvous, async-slot
+// wait, shrink/commit gate) yields back to the scheduler, so the whole
+// parallel region is a deterministic single-threaded event loop over
+// virtual time, and a p=4096 run costs one OS thread plus its fiber stacks.
 //
-// Determinism: fibers are resumed in ascending rank order every sweep, and
-// all cross-rank arithmetic in the runtime is arrival-order independent (max
-// reductions; buffer sums in ascending communicator-rank order), so results
-// AND virtual times are bit-identical to the thread engine.
+// Determinism: fibers are resumed in ascending rank order every sweep, so
+// the interleaving is a pure function of the program: results, virtual
+// times and fault outcomes repeat bit for bit from run to run.
 //
 // Stacks are mmap'd lazily-committed with a PROT_NONE guard page below, so
 // p=4096 fibers reserve address space but only commit the pages each rank
 // actually touches — the RSS that matters for the large-p smoke budget.
 #pragma once
 
-#include <algorithm>
-#include <chrono>
 #include <cstddef>
 #include <exception>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 namespace summagen::sgmpi::detail {
@@ -34,7 +29,7 @@ namespace summagen::sgmpi::detail {
 /// Cooperative scheduler hosting one fiber per rank on the calling thread.
 class FiberHost {
  public:
-  /// Stack reservation per fiber when Config::fiber_stack_bytes == 0.
+  /// Stack reservation per fiber when the constructor is given 0.
   static constexpr std::size_t kDefaultStackBytes = 1u << 20;  // 1 MiB
 
   /// Prepares `nfibers` fibers with `stack_bytes` of stack each (rounded up
@@ -47,16 +42,15 @@ class FiberHost {
   /// Runs `body(i)` for every fiber i to completion on the calling thread.
   /// Fibers are started and resumed in ascending index order; an exception
   /// escaping a body terminates that fiber and is captured in errors()[i]
-  /// (the others keep running — runtime-level unwind is the caller's job,
-  /// exactly as with detached rank threads).
+  /// (the others keep running — runtime-level unwind is the caller's job).
   void run(const std::function<void(int)>& body);
 
   /// Per-fiber captured exceptions after run() (null = clean exit).
   const std::vector<std::exception_ptr>& errors() const { return errors_; }
 
-  /// The host driving the calling thread, or null when the caller is a
-  /// plain thread (pool workers, the thread engine's ranks). Blocking wait
-  /// sites branch on this: yield to the scheduler instead of sleeping.
+  /// The host driving the calling thread, or null outside a run (pool
+  /// workers, service executors between jobs). Blocking wait sites yield
+  /// to it.
   static FiberHost* current() noexcept;
 
   /// Index of the fiber currently running on this thread (-1 outside one).
@@ -87,22 +81,20 @@ class FiberHost {
   void* host_tsan_fiber_ = nullptr;
 };
 
-/// One step of a blocking wait loop, engine-aware: under a FiberHost the
-/// calling fiber releases `lock`, yields one scheduler sweep, and re-locks;
-/// on a plain thread it sleeps on `cv` with exponential backoff capped at
-/// `poll_interval_s`. The caller's loop re-checks its predicate (and unwind
-/// state) after every step, so both paths observe identical wake-up points.
-template <typename Lock, typename Cv>
-inline void engine_wait_step(Lock& lock, Cv& cv, double& backoff_s,
-                             double poll_interval_s) {
-  if (FiberHost* host = FiberHost::current()) {
-    lock.unlock();
-    host->yield();
-    lock.lock();
-    return;
+/// One step of a blocking wait loop: the calling fiber releases `lock`,
+/// yields one scheduler sweep, and re-locks. The caller's loop re-checks
+/// its predicate (and unwind state) after every step. Ranks only ever run
+/// as fibers, so a blocking wait on a thread without a FiberHost is a
+/// misuse and throws std::logic_error.
+template <typename Lock>
+inline void engine_wait_step(Lock& lock) {
+  FiberHost* host = FiberHost::current();
+  if (host == nullptr) {
+    throw std::logic_error("sgmpi: blocking wait outside a rank fiber");
   }
-  cv.wait_for(lock, std::chrono::duration<double>(backoff_s));
-  backoff_s = std::min(backoff_s * 2.0, poll_interval_s);
+  lock.unlock();
+  host->yield();
+  lock.lock();
 }
 
 }  // namespace summagen::sgmpi::detail

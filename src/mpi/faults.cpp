@@ -3,15 +3,13 @@
 //
 // Determinism: an event triggers when its victim's own virtual clock first
 // reaches `at_vtime` at a runtime operation, so the trigger point is a pure
-// function of the virtual execution. A blocked rank learns of a failure via
-// the fault epoch (bumped under the lock, waiters notified), but the
-// *virtual* detection time it records is max(own clock, trigger + detect_s)
-// — independent of real-thread scheduling.
+// function of the virtual execution. A blocked rank learns of a failure when
+// it re-polls on its next turn, and the *virtual* detection time it records
+// is max(own clock, trigger + detect_s).
 
 #include "src/mpi/faults.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "src/mpi/engine.hpp"
 
@@ -122,8 +120,7 @@ FaultRuntime::FaultRuntime(FaultPlan plan, int nranks, double detect_s)
   }
 }
 
-bool FaultRuntime::trigger_due_locked(int rank, double vtime) {
-  bool newly_interrupting = false;
+void FaultRuntime::trigger_due_locked(int rank, double vtime) {
   for (EventState& s : events_) {
     if (s.phase != EventState::Phase::kPending || s.event.rank != rank)
       continue;
@@ -133,11 +130,9 @@ bool FaultRuntime::trigger_due_locked(int rank, double vtime) {
       case FaultKind::kCrash:
         s.phase = EventState::Phase::kTriggered;
         dead_[static_cast<std::size_t>(rank)] = true;
-        newly_interrupting = true;
         break;
       case FaultKind::kSlowdown:
         s.phase = EventState::Phase::kTriggered;
-        newly_interrupting = true;
         break;
       case FaultKind::kLinkSlowdown:
         // Non-interrupting: active from now on, settled immediately.
@@ -149,15 +144,9 @@ bool FaultRuntime::trigger_due_locked(int rank, double vtime) {
         // behaves like a slowdown whose detection is deferred to the commit
         // gate.
         s.phase = EventState::Phase::kTriggered;
-        newly_interrupting = true;
         break;
     }
   }
-  if (newly_interrupting) {
-    epoch_.fetch_add(1, std::memory_order_release);
-    cv_.notify_all();
-  }
-  return newly_interrupting;
 }
 
 FaultRuntime::EventState* FaultRuntime::live_failure_locked(
@@ -171,22 +160,15 @@ FaultRuntime::EventState* FaultRuntime::live_failure_locked(
 }
 
 void FaultRuntime::raise_drift(int rank, double vtime) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    EventState s;
-    s.event.kind = FaultKind::kDrift;
-    s.event.rank = rank;
-    s.event.at_vtime = vtime;
-    s.phase = EventState::Phase::kTriggered;
-    s.trigger_vtime = vtime;
-    s.first_detect_vtime = vtime;  // the raiser detected it itself
-    events_.push_back(s);
-    epoch_.fetch_add(1, std::memory_order_release);
-    cv_.notify_all();
-  }
-  // Waking the context's blocked waits is harmless (poll ignores kDrift);
-  // it just keeps the wakeup discipline uniform with planned triggers.
-  if (on_trigger) on_trigger();
+  std::lock_guard<std::mutex> lock(mutex_);
+  EventState s;
+  s.event.kind = FaultKind::kDrift;
+  s.event.rank = rank;
+  s.event.at_vtime = vtime;
+  s.phase = EventState::Phase::kTriggered;
+  s.trigger_vtime = vtime;
+  s.first_detect_vtime = vtime;  // the raiser detected it itself
+  events_.push_back(s);
 }
 
 bool FaultRuntime::all_live_arrived_locked(
@@ -211,17 +193,9 @@ void FaultRuntime::throw_detected_locked(EventState& failure,
 }
 
 void FaultRuntime::poll(int rank, trace::VirtualClock& clk) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  const bool newly = trigger_due_locked(rank, clk.now());
-  const bool self_dead = dead_[static_cast<std::size_t>(rank)];
-  if (newly) {
-    // Wake every blocked wait in the context so detection is prompt. The
-    // callback takes other locks, so drop ours first.
-    lock.unlock();
-    if (on_trigger) on_trigger();
-    lock.lock();
-  }
-  if (self_dead) throw RankCrashedError(rank);
+  std::lock_guard<std::mutex> lock(mutex_);
+  trigger_due_locked(rank, clk.now());
+  if (dead_[static_cast<std::size_t>(rank)]) throw RankCrashedError(rank);
   // kDrift excluded: a drift raiser finishes its communication schedule
   // before raising, so peers complete their graphs undisturbed and observe
   // the drift at the commit gate instead.
@@ -261,14 +235,12 @@ double FaultRuntime::link_factor(int rank, double vtime) {
   return factor;
 }
 
-ShrinkResult FaultRuntime::shrink_arrive(int rank, double entry_vtime,
-                                         double poll_interval_s) {
+ShrinkResult FaultRuntime::shrink_arrive(int rank, double entry_vtime) {
   std::unique_lock<std::mutex> lock(mutex_);
   shrink_arrived_[static_cast<std::size_t>(rank)] = true;
   ++shrink_arrived_count_;
   shrink_entry_max_ = std::max(shrink_entry_max_, entry_vtime);
   const std::uint64_t my_gen = shrink_gen_;
-  double backoff_s = std::min(poll_interval_s, 0.001);
   while (shrink_gen_ == my_gen) {
     if (!shrink_finalizing_ && all_live_arrived_locked(shrink_arrived_)) {
       // First observer of completion finalises: reset the communicator
@@ -298,10 +270,9 @@ ShrinkResult FaultRuntime::shrink_arrive(int rank, double entry_vtime,
       shrink_entry_max_ = 0.0;
       shrink_finalizing_ = false;
       ++shrink_gen_;
-      cv_.notify_all();
       return result;
     }
-    engine_wait_step(lock, cv_, backoff_s, poll_interval_s);
+    engine_wait_step(lock);
   }
   // Released by the finaliser. The snapshot cannot have been overwritten: a
   // next round needs every live rank to arrive again, including us.
@@ -309,25 +280,16 @@ ShrinkResult FaultRuntime::shrink_arrive(int rank, double entry_vtime,
 }
 
 std::pair<double, int> FaultRuntime::commit_arrive(int rank,
-                                                   trace::VirtualClock& clk,
-                                                   double poll_interval_s) {
+                                                   trace::VirtualClock& clk) {
   std::unique_lock<std::mutex> lock(mutex_);
-  {
-    // Trigger this rank's due events at the commit point (a rank whose
-    // crash lands between its last operation and the commit dies here).
-    const bool newly = trigger_due_locked(rank, clk.now());
-    if (newly) {
-      lock.unlock();
-      if (on_trigger) on_trigger();
-      lock.lock();
-    }
-    if (dead_[static_cast<std::size_t>(rank)]) throw RankCrashedError(rank);
-  }
+  // Trigger this rank's due events at the commit point (a rank whose crash
+  // lands between its last operation and the commit dies here).
+  trigger_due_locked(rank, clk.now());
+  if (dead_[static_cast<std::size_t>(rank)]) throw RankCrashedError(rank);
   commit_arrived_[static_cast<std::size_t>(rank)] = true;
   ++commit_arrived_count_;
   commit_entry_max_ = std::max(commit_entry_max_, clk.now());
   const std::uint64_t my_gen = commit_gen_;
-  double backoff_s = std::min(poll_interval_s, 0.001);
   while (commit_gen_ == my_gen) {
     // Failure first: if an interrupting event is live, every arriver must
     // unwind to recovery, so withdraw and throw rather than completing.
@@ -348,11 +310,10 @@ std::pair<double, int> FaultRuntime::commit_arrive(int rank,
       commit_arrived_count_ = 0;
       commit_entry_max_ = 0.0;
       ++commit_gen_;
-      cv_.notify_all();
       clk.wait_until(commit_result_);
       return {commit_result_, commit_live_};
     }
-    engine_wait_step(lock, cv_, backoff_s, poll_interval_s);
+    engine_wait_step(lock);
   }
   clk.wait_until(commit_result_);
   return {commit_result_, commit_live_};

@@ -3,14 +3,14 @@
 // A FaultPlan schedules per-rank events at *virtual-clock* times: link
 // slowdowns, rank slowdowns, and rank crashes. Events trigger when the victim
 // rank's own virtual clock reaches `at_vtime`, which keeps injection
-// independent of real-thread interleaving: the same plan on the same workload
-// always fails at the same point of the virtual execution.
+// independent of the order ranks happen to run in: the same plan on the same
+// workload always fails at the same point of the virtual execution.
 //
 // Interrupting events (crash, rank slowdown) unwind every live rank with a
 // typed error so the caller can run ULFM-style recovery: the victim of a
 // crash throws RankCrashedError, every other live rank observes the failure
-// at its next runtime operation (or inside a blocked wait, which polls the
-// fault epoch) and throws PeerFailedError. Survivors then agree on the
+// at its next runtime operation (or inside a blocked wait, which re-polls on
+// every turn) and throws PeerFailedError. Survivors then agree on the
 // failure epoch via Comm::shrink(). The non-interrupting link slowdown only
 // perturbs the victim's modeled broadcast costs.
 //
@@ -19,8 +19,6 @@
 // build without fault hooks.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -130,9 +128,6 @@ class FaultRuntime {
  public:
   FaultRuntime(FaultPlan plan, int nranks, double detect_s);
 
-  /// Called once by the Runtime: wakes every blocked wait in the context so
-  /// a freshly-triggered failure is observed promptly.
-  std::function<void()> on_trigger;
   /// Called by the shrink finaliser (no FaultRuntime lock held) to reset
   /// communicator fabric — async slots, sequence counters, meetings —
   /// before survivors resume.
@@ -144,12 +139,6 @@ class FaultRuntime {
   /// event is triggered but not yet handled. No-op otherwise.
   void poll(int rank, trace::VirtualClock& clk);
 
-  /// Bumped whenever an interrupting event triggers; blocked waits compare
-  /// against it to wake up and re-poll.
-  std::uint64_t epoch() const noexcept {
-    return epoch_.load(std::memory_order_acquire);
-  }
-
   bool rank_dead(int rank) const;
 
   /// Product of this rank's triggered compute-slowdown factors.
@@ -160,26 +149,23 @@ class FaultRuntime {
   double link_factor(int rank, double vtime);
 
   /// Registers a confirmed-drift event for `rank` at virtual time `vtime`
-  /// (already triggered — there is no pending phase) and wakes blocked
-  /// waits. The caller then throws PeerFailedError(kDrift) on the raising
-  /// rank; peers observe the event at the next commit gate, never from
-  /// `poll`.
+  /// (already triggered — there is no pending phase). The caller then
+  /// throws PeerFailedError(kDrift) on the raising rank; peers observe the
+  /// event at the next commit gate, never from `poll`.
   void raise_drift(int rank, double vtime);
 
   /// Blocks until every live rank has arrived, then settles all triggered
   /// events as handled and resets the communication fabric (first observer
   /// of completion finalises). Ranks that die while others wait shrink the
   /// completion condition instead of deadlocking.
-  ShrinkResult shrink_arrive(int rank, double entry_vtime,
-                             double poll_interval_s);
+  ShrinkResult shrink_arrive(int rank, double entry_vtime);
 
   /// End-of-phase agreement: blocks until every live rank arrives, then
   /// returns {entry-max, live count} if no unhandled interrupting failure
   /// exists, and throws PeerFailedError on every arriver otherwise. A
   /// failure that triggers while waiting aborts the wait with
   /// PeerFailedError. The caller's clock is settled to the entry-max.
-  std::pair<double, int> commit_arrive(int rank, trace::VirtualClock& clk,
-                                       double poll_interval_s);
+  std::pair<double, int> commit_arrive(int rank, trace::VirtualClock& clk);
 
   std::vector<FaultRecord> records() const;
 
@@ -197,9 +183,8 @@ class FaultRuntime {
            s.event.kind == FaultKind::kSlowdown ||
            s.event.kind == FaultKind::kDrift;
   }
-  /// Triggers `rank`'s due events under the lock; returns true if an
-  /// interrupting event newly triggered (caller must notify after unlock).
-  bool trigger_due_locked(int rank, double vtime);
+  /// Triggers `rank`'s due events under the lock.
+  void trigger_due_locked(int rank, double vtime);
   /// First triggered-but-unhandled interrupting event, or nullptr. kDrift
   /// events only count when `include_drift`: drift never unwinds peers from
   /// poll/waits (the raiser completes its communication schedule first), it
@@ -214,8 +199,6 @@ class FaultRuntime {
   const double detect_s_;
 
   mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  std::atomic<std::uint64_t> epoch_{0};
   std::vector<EventState> events_;
   std::vector<bool> dead_;
 

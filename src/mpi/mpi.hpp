@@ -2,10 +2,11 @@
 //
 // Substrate replacing Intel MPI in the reproduction (DESIGN.md §2). The
 // paper runs SummaGen with one MPI process per abstract processor on a
-// single node; here each rank is a `std::thread`, and the primitives the
-// paper's code uses (communicators, sub-communicators over the ranks of a
-// sub-partition row/column, `MPI_Bcast`) are implemented over shared memory
-// with rendezvous synchronisation. The runtime is collectives-only:
+// single node; here each rank is a fiber on the thread that runs the
+// region (engine.hpp), and the primitives the paper's code uses
+// (communicators, sub-communicators over the ranks of a sub-partition
+// row/column, `MPI_Bcast`) are implemented over shared memory with
+// rendezvous synchronisation. The runtime is collectives-only:
 // broadcasts, reductions, barrier and gather — SummaGen, SUMMA and 2.5D move
 // no data point-to-point.
 //
@@ -16,9 +17,9 @@
 // the `Modeled` data plane that lets benches run at the paper's N (10+ GB
 // matrices) without allocating them.
 //
-// Thread-safety: a Comm handle belongs to exactly one rank/thread. All ranks
-// of a communicator must invoke collectives in the same order (standard MPI
-// contract).
+// Thread-safety: a Comm handle belongs to exactly one rank. All ranks of a
+// communicator must invoke collectives in the same order (standard MPI
+// contract). Separate Runtimes may run concurrently on separate threads.
 #pragma once
 
 #include <cstddef>
@@ -38,22 +39,14 @@ namespace summagen::sgmpi {
 
 class Context;
 
-/// Execution engine backing the ranks of a run (DESIGN.md §5.14).
+/// The rank engine: every rank is a cooperative fiber (DESIGN.md §5.14),
+/// so this enum has one value and nothing reads it. It stays only because
+/// the frozen repo benchmark (bench/e2e/summagen_e2e.cpp) assigns
+/// core::ExperimentConfig::engine = kModeled; the next benchmark change
+/// drops both.
 enum class Engine {
-  /// One OS thread per rank — the historical default. Real parallelism on
-  /// the numeric plane, but caps the simulated cluster at a few dozen ranks.
-  kThread,
-  /// Cooperative fibers: every rank is a resumable state machine driven
-  /// round-robin by one scheduler thread. Blocking wait sites yield instead
-  /// of sleeping, so p=1024–4096 runs cost one thread plus lazily-committed
-  /// fiber stacks. Results and virtual times are bit-identical to kThread.
   kModeled,
 };
-
-const char* to_string(Engine engine) noexcept;
-
-/// Parses "thread|modeled"; throws std::invalid_argument on anything else.
-Engine parse_engine(const std::string& name);
 
 /// Configuration of a runtime instance.
 struct Config {
@@ -68,19 +61,6 @@ struct Config {
   /// pays the inter-node price (its broadcast tree crosses the network).
   std::vector<int> node_of;
   trace::HockneyParams internode_link{20.0e-6, 1.0 / 1.0e9};
-
-  /// Watchdog: rendezvous waits poll the abort flag with this period (waits
-  /// back off exponentially from min(poll_interval_s, 1 ms) up to it).
-  double poll_interval_s = 0.02;
-
-  /// Execution engine. kModeled decouples "rank = thread": rank bodies run
-  /// unchanged on cooperative fibers scheduled by a single-threaded
-  /// virtual-time event loop, which is what makes p in the thousands cheap.
-  Engine engine = Engine::kThread;
-  /// Stack reservation per modeled rank (rounded up to whole pages, guard
-  /// page added); 0 = the 1 MiB default. Pages commit lazily, so this
-  /// bounds address space, not RSS.
-  std::size_t fiber_stack_bytes = 0;
 
   /// Broadcast algorithm priced into bcast/ibcast costs (trace::BcastAlgo).
   /// kTree is the historical binomial tree and keeps virtual times
@@ -324,8 +304,9 @@ class Comm {
   int rank_;                 ///< my rank within this communicator
 };
 
-/// Owns the parallel region: spawns `nranks` threads, hands each a world
-/// communicator, joins, and rethrows the first exception.
+/// Owns the parallel region: runs `nranks` rank fibers on the calling
+/// thread, hands each a world communicator, and rethrows the first
+/// exception once every rank has returned.
 class Runtime {
  public:
   explicit Runtime(Config config);

@@ -117,7 +117,6 @@ Request Comm::ibcast_bytes(void* data, std::int64_t bytes, int root) {
       slot.root_posted = true;
     }
   }
-  st.async_cv.notify_all();
   return Request{std::move(op)};
 }
 
@@ -201,7 +200,6 @@ Request Comm::ibcast_panel(util::ConstMatrixView src, util::MatrixView dst,
       slot.root_posted = true;
     }
   }
-  st.async_cv.notify_all();
   return Request{std::move(op)};
 }
 
@@ -226,11 +224,9 @@ double Comm::wait(Request& request) {
       throw std::logic_error("sgmpi: request completed twice");
     }
     detail::AsyncSlot& slot = it->second;
-    double backoff_s = std::min(ctx_->config.poll_interval_s, 0.001);
     while (slot.posted < q || (is_root && slot.copied < q - 1)) {
       ctx_->unwind_check(me);
-      detail::engine_wait_step(lock, st.async_cv, backoff_s,
-                               ctx_->config.poll_interval_s);
+      detail::engine_wait_step(lock);
     }
     if (!is_root) {
       if (op.recv_buf != nullptr && slot.src != nullptr) {
@@ -255,7 +251,6 @@ double Comm::wait(Request& request) {
     entry_max = slot.entry_max;
     finish_slot(st, it, q);
   }
-  st.async_cv.notify_all();
   // Panel root with a local destination: store its own copy of the panel
   // now, outside the slot lock (src and dst are this rank's buffers; values
   // are identical whenever it happens before return).

@@ -1,6 +1,5 @@
 #include <exception>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "src/mpi/context.hpp"
@@ -8,17 +7,6 @@
 #include "src/mpi/mpi.hpp"
 
 namespace summagen::sgmpi {
-
-const char* to_string(Engine engine) noexcept {
-  return engine == Engine::kModeled ? "modeled" : "thread";
-}
-
-Engine parse_engine(const std::string& name) {
-  if (name == "thread") return Engine::kThread;
-  if (name == "modeled") return Engine::kModeled;
-  throw std::invalid_argument("unknown engine '" + name +
-                              "' (expected thread|modeled)");
-}
 
 Runtime::Runtime(Config config) : config_(config) {
   if (config_.nranks < 1) {
@@ -36,8 +24,11 @@ void Runtime::run(const std::function<void(Comm&)>& body) {
   }
   std::vector<std::exception_ptr> errors(
       static_cast<std::size_t>(config_.nranks));
-  // One rank body, shared by both engines so error semantics cannot drift.
-  const auto rank_main = [this, &body, &errors](int r) {
+  // All ranks as fibers on this thread, resumed round-robin in rank order;
+  // blocked operations yield back here.
+  detail::FiberHost host(config_.nranks,
+                         detail::FiberHost::kDefaultStackBytes);
+  host.run([this, &body, &errors](int r) {
     try {
       Comm world(ctx_, 0, r);
       body(world);
@@ -45,28 +36,13 @@ void Runtime::run(const std::function<void(Comm&)>& body) {
       // A planned crash that the body did not handle: the victim exits
       // quietly. Its peers observe the failure as PeerFailedError and
       // either recover (fault-tolerant bodies) or unwind the run with a
-      // typed error instead of polling forever.
+      // typed error instead of waiting forever.
     } catch (...) {
+      // Blocked peers see the flag at their next turn and unwind.
       errors[static_cast<std::size_t>(r)] = std::current_exception();
       ctx_->aborted.store(true, std::memory_order_relaxed);
-      // Wake blocked peers so the unwind is prompt, not a poll period.
-      ctx_->notify_all_waiters();
     }
-  };
-
-  if (config_.engine == Engine::kModeled) {
-    // All ranks as fibers on this thread, resumed round-robin in rank
-    // order; blocked operations yield back here instead of sleeping.
-    detail::FiberHost host(config_.nranks, config_.fiber_stack_bytes);
-    host.run(rank_main);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(config_.nranks));
-    for (int r = 0; r < config_.nranks; ++r) {
-      threads.emplace_back([&rank_main, r] { rank_main(r); });
-    }
-    for (auto& t : threads) t.join();
-  }
+  });
 
   if (ctx_->aborted.load()) {
     ctx_->poisoned = true;

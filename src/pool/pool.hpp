@@ -5,9 +5,9 @@
 // worker pool per abstract processor. This is the reproduction's equivalent:
 // one shared work-stealing thread pool per process that all compute
 // parallelism (blas::dgemm row bands, out-of-core tile stages, parallel
-// matrix fills) is routed through. Rank threads of the in-process sgmpi
-// platform submit tasks and *help execute them while waiting*, so the host
-// is never oversubscribed beyond `rank threads + pool workers` — sized
+// matrix fills) is routed through. The thread running a job's sgmpi rank
+// fibers submits tasks and *helps execute them while waiting*, so the host
+// is never oversubscribed beyond `reserved threads + pool workers` — sized
 // together to hardware_concurrency() (DESIGN.md "Compute executor").
 //
 // Shape: persistent workers, one mutex-guarded deque per worker. Owners
@@ -73,11 +73,12 @@ class Pool {
   /// Resizes the shared pool (no-op when the size already matches). Must be
   /// called at a quiescent point — no tasks in flight. The experiment
   /// runner calls this once per run with `hardware_concurrency()` minus the
-  /// live rank threads.
+  /// one thread that runs the rank fibers.
   static void configure(int threads);
 
   /// Worker count that fills the machine alongside `reserved_threads`
-  /// always-running threads (sgmpi ranks): max(1, hw_concurrency - reserved).
+  /// always-running threads (the threads that run sgmpi rank fibers):
+  /// max(1, hw_concurrency - reserved).
   static int recommended_size(int reserved_threads);
 
   /// Threads reserved for rank execution, used by the lazy default size.

@@ -98,7 +98,6 @@ std::uint64_t job_signature(const core::ExperimentConfig& config,
   m.fold(static_cast<std::uint64_t>(config.kernel.fastmm));
   m.fold(static_cast<std::uint64_t>(config.kernel.fastmm_crossover));
   m.fold(static_cast<std::uint64_t>(config.kernel.fastmm_max_depth));
-  m.fold(static_cast<std::uint64_t>(config.engine));
   m.fold(static_cast<std::uint64_t>(config.bcast_algo));
   m.fold(config.two_level_collectives ? 1 : 0);
   return m.digest();

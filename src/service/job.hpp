@@ -52,7 +52,7 @@ double job_cost_units(const core::ExperimentConfig& config);
 ///
 /// Two configs with equal non-zero signatures execute identically: the
 /// signature folds in n, shape, regime, granularity, preset areas/spec
-/// layout, CPM speed bits, engine, scheduler and its options, the numeric
+/// layout, CPM speed bits, scheduler and its options, the numeric
 /// flag and fill seed, the kernel, SIMD tier and fast-MM options, the
 /// collective pricing options, and the platform's processor count. It
 /// does NOT hash full platform or FPM-model contents — the identity is

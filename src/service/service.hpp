@@ -31,8 +31,8 @@ class PmmService {
  public:
   struct Options {
     /// Executor threads. Each dispatched job runs a full run_pmm on its
-    /// executor (thread-engine jobs spawn their rank threads from there),
-    /// so size `runtime.reserved_threads` for executors x ranks when
+    /// executor, every rank a fiber on that thread, so size
+    /// `runtime.reserved_threads` for the executor count when
     /// oversubscription matters.
     int executors = 2;
     JobQueue::Options queue;

@@ -96,7 +96,6 @@ ServiceModel modeled_service_time() {
       }
     }
     core::ExperimentConfig priced = config;
-    priced.engine = sgmpi::Engine::kModeled;
     priced.numeric = false;
     priced.record_events = false;
     const double seconds = core::run_pmm(priced).exec_time_s;

@@ -87,7 +87,7 @@ using ServiceModel =
     std::function<double(const core::ExperimentConfig& config)>;
 
 /// The default model: one modeled-plane run_pmm per distinct non-zero job
-/// signature (forced engine=kModeled, numeric=false, no event recording),
+/// signature (forced numeric=false, no event recording),
 /// returning the deterministic virtual exec_time_s; results are memoized
 /// by signature so a 10^4-job scenario prices each distinct config once.
 /// Call under an active RuntimeContext to share the priced plans and

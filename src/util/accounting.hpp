@@ -14,10 +14,11 @@
 // experiments overlap (the multi-tenant service runs many jobs over the
 // shared runtime at once), so every record_* call additionally credits the
 // StatsSink installed on the recording thread, if any. The sink travels
-// with the work: a rank thread installs its job's sink for its lifetime,
-// and sgpool tasks inherit the submitting thread's sink (the pool
-// propagates the thread-local task token from submit to execution), so a
-// DGEMM band running on a stolen worker still bills the right job.
+// with the work: the thread that runs a job's rank fibers installs its
+// job's sink for the run, and sgpool tasks inherit the submitting thread's
+// sink (the pool propagates the thread-local task token from submit to
+// execution), so a DGEMM band running on a stolen worker still bills the
+// right job.
 #pragma once
 
 #include <atomic>

@@ -1,7 +1,8 @@
 // Leveled logging with a global threshold; thread-safe line emission.
 //
-// The message-passing runtime runs one thread per rank, so log lines must
-// not interleave mid-line; a process-wide mutex serialises emission.
+// Pool workers, service executors and concurrent run_pmm callers log from
+// separate threads, so log lines must not interleave mid-line; a
+// process-wide mutex serialises emission.
 #pragma once
 
 #include <sstream>

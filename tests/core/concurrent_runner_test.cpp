@@ -1,6 +1,6 @@
 // Concurrent run_pmm callers over one shared RuntimeContext — the
 // multi-tenant service's execution pattern, exercised raw (and under TSan
-// in CI): N threads with mixed shapes/engines must not corrupt each
+// in CI): N threads with mixed shapes and planes must not corrupt each
 // other's numerics, virtual clocks, or per-job accounting.
 //
 // What is deterministic under concurrency (and asserted bit-exactly):
@@ -9,8 +9,9 @@
 // job's acquires are a fixed function of the job, and the per-job
 // StatsSink rides the pool task token, so a buffer leased inside a band
 // task on a stolen worker still bills the submitting job. What is NOT:
-// BufferPool alloc/hit counts — pool workers race the rank threads on the
-// freelists even in a single job — so nothing here asserts those.
+// BufferPool alloc/hit counts — pool workers race the thread that runs
+// the rank fibers on the freelists even in a single job — so nothing here
+// asserts those.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -31,7 +32,6 @@ ExperimentConfig modeled_config(partition::Shape shape) {
   config.n = 1024;
   config.shape = shape;
   config.cpm_speeds = {1.0, 2.0, 0.9};
-  config.engine = sgmpi::Engine::kModeled;
   return config;
 }
 

@@ -23,7 +23,6 @@ using summagen::util::MatrixView;
 sgmpi::Config small_config(int nranks) {
   sgmpi::Config config;
   config.nranks = nranks;
-  config.poll_interval_s = 0.005;
   return config;
 }
 

@@ -1,11 +1,13 @@
-// Modeled engine: FiberHost scheduling, engine selection, and the
-// bit-identity contract between the thread and modeled engines over every
-// sgmpi primitive class (collectives, async slots, faults).
+// Rank engine: FiberHost scheduling, the sgmpi primitives on rank fibers,
+// and their payloads and final virtual clocks against the closed-form
+// Hockney costs (the sequential model MpiFuzz also uses).
 #include "src/mpi/engine.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -18,11 +20,9 @@ namespace {
 
 using detail::FiberHost;
 
-Config engine_config(int nranks, Engine engine) {
+Config engine_config(int nranks) {
   Config config;
   config.nranks = nranks;
-  config.engine = engine;
-  config.poll_interval_s = 0.005;
   return config;
 }
 
@@ -86,6 +86,15 @@ TEST(FiberHost, YieldOutsideAFiberThrows) {
   EXPECT_THROW(host.yield(), std::logic_error);
 }
 
+TEST(FiberHost, BlockingWaitOutsideAFiberThrows) {
+  // Ranks only ever run as fibers: a blocking wait on a plain thread is a
+  // misuse, reported instead of spinning, and the lock stays held.
+  std::mutex mutex;
+  std::unique_lock<std::mutex> lock(mutex);
+  EXPECT_THROW(detail::engine_wait_step(lock), std::logic_error);
+  EXPECT_TRUE(lock.owns_lock());
+}
+
 TEST(FiberHost, SurvivesDeepStackUse) {
   // Touch well into each fiber's stack (half the 256 KiB reservation) to
   // prove the guard-page layout leaves the reservation usable.
@@ -103,20 +112,10 @@ TEST(FiberHost, SurvivesDeepStackUse) {
   }
 }
 
-// --- Engine selection + parsing ---
-
-TEST(Engine, ParseAndPrintRoundTrip) {
-  EXPECT_EQ(parse_engine("thread"), Engine::kThread);
-  EXPECT_EQ(parse_engine("modeled"), Engine::kModeled);
-  EXPECT_STREQ(to_string(Engine::kThread), "thread");
-  EXPECT_STREQ(to_string(Engine::kModeled), "modeled");
-  EXPECT_THROW(parse_engine("fibers"), std::invalid_argument);
-}
-
-// --- Modeled engine correctness over the primitives ---
+// --- Rank fibers over the primitives ---
 
 TEST(ModeledEngine, CollectivesDeliverPayloads) {
-  Runtime rt(engine_config(5, Engine::kModeled));
+  Runtime rt(engine_config(5));
   rt.run([](Comm& world) {
     std::vector<double> buf(64, world.rank() == 1 ? 2.5 : 0.0);
     world.bcast(buf.data(), 64, 1);
@@ -135,7 +134,7 @@ TEST(ModeledEngine, CollectivesDeliverPayloads) {
 }
 
 TEST(ModeledEngine, AsyncBcastWorks) {
-  Runtime rt(engine_config(4, Engine::kModeled));
+  Runtime rt(engine_config(4));
   rt.run([](Comm& world) {
     double payload = world.rank() == 0 ? 42.0 : 0.0;
     Request b = world.ibcast_bytes(&payload, sizeof(double), 0);
@@ -145,7 +144,7 @@ TEST(ModeledEngine, AsyncBcastWorks) {
 }
 
 TEST(ModeledEngine, SubgroupCollectivesWork) {
-  Runtime rt(engine_config(6, Engine::kModeled));
+  Runtime rt(engine_config(6));
   rt.run([](Comm& world) {
     const bool even = world.rank() % 2 == 0;
     const std::vector<int> members =
@@ -157,7 +156,7 @@ TEST(ModeledEngine, SubgroupCollectivesWork) {
 }
 
 TEST(ModeledEngine, AbortUnwindsAllRanks) {
-  Runtime rt(engine_config(4, Engine::kModeled));
+  Runtime rt(engine_config(4));
   EXPECT_THROW(rt.run([](Comm& world) {
                  if (world.rank() == 2) {
                    throw std::runtime_error("rank 2 exploded");
@@ -169,122 +168,176 @@ TEST(ModeledEngine, AbortUnwindsAllRanks) {
 }
 
 TEST(ModeledEngine, PoisonedAfterAbort) {
-  Runtime rt(engine_config(2, Engine::kModeled));
+  Runtime rt(engine_config(2));
   EXPECT_THROW(
       rt.run([](Comm&) { throw std::runtime_error("boom"); }),
       std::runtime_error);
   EXPECT_THROW(rt.run([](Comm&) {}), std::logic_error);
 }
 
-// --- Bit-identity against the thread engine ---
+// --- Payloads and virtual clocks against the Hockney oracle ---
+//
+// Every rank starts at virtual time 0 and the schedules below keep all
+// members of each collective in step, so a collective moves every member's
+// clock to t + cost, with cost the closed form of trace/hockney.hpp (the
+// default binomial tree for broadcasts). The oracle replays those
+// additions in program order, so the comparison is exact.
 
 struct RunOutcome {
   std::vector<double> clock_now;
-  std::vector<double> comm_time;
-  std::vector<double> payload;
+  std::vector<double> comm_time;  ///< modeled costs the calls returned
+  std::vector<std::vector<double>> payloads;  ///< per rank, in call order
 };
 
 template <typename Body>
-RunOutcome run_with_engine(Engine engine, int nranks, const Body& body) {
-  Runtime rt(engine_config(nranks, engine));
+RunOutcome run_schedule(const Config& config, const Body& body) {
+  Runtime rt(config);
   RunOutcome out;
-  out.payload.assign(static_cast<std::size_t>(nranks), 0.0);
-  out.comm_time.assign(static_cast<std::size_t>(nranks), 0.0);
+  const auto ranks = static_cast<std::size_t>(config.nranks);
+  out.comm_time.assign(ranks, 0.0);
+  out.payloads.resize(ranks);
   rt.run([&](Comm& world) {
-    const auto result = body(world);
-    out.payload[static_cast<std::size_t>(world.rank())] = result.first;
-    out.comm_time[static_cast<std::size_t>(world.rank())] = result.second;
+    const auto r = static_cast<std::size_t>(world.rank());
+    out.comm_time[r] = body(world, out.payloads[r]);
   });
-  for (int r = 0; r < nranks; ++r) out.clock_now.push_back(rt.clock(r).now());
+  for (int r = 0; r < config.nranks; ++r) {
+    out.clock_now.push_back(rt.clock(r).now());
+  }
   return out;
 }
 
-template <typename Body>
-void expect_engines_identical(int nranks, const Body& body) {
-  const RunOutcome thread = run_with_engine(Engine::kThread, nranks, body);
-  const RunOutcome modeled = run_with_engine(Engine::kModeled, nranks, body);
-  for (int r = 0; r < nranks; ++r) {
-    const auto i = static_cast<std::size_t>(r);
-    EXPECT_EQ(thread.clock_now[i], modeled.clock_now[i]) << "rank " << r;
-    EXPECT_EQ(thread.comm_time[i], modeled.comm_time[i]) << "rank " << r;
-    EXPECT_EQ(thread.payload[i], modeled.payload[i]) << "rank " << r;
-  }
-}
-
 TEST(EngineEquivalence, MixedCollectiveScheduleIsBitIdentical) {
-  expect_engines_identical(8, [](Comm& world) {
-    double comm = 0.0;
-    double value = static_cast<double>(world.rank());
-    for (int round = 0; round < 4; ++round) {
-      comm += world.bcast(&value, 1, round % world.size());
-      value = world.allreduce_sum(value);
-      world.barrier();
-      value = world.allreduce_max(value - world.rank());
-    }
-    comm += world.allreduce_sum_buffer(&value, 1);
-    return std::make_pair(value, comm);
-  });
+  constexpr int kRanks = 8;
+  const Config config = engine_config(kRanks);
+  const RunOutcome out =
+      run_schedule(config, [](Comm& world, std::vector<double>& seen) {
+        double comm = 0.0;
+        double value = 1.0 + world.rank();
+        for (int round = 0; round < 4; ++round) {
+          comm += world.bcast(&value, 1, round % world.size());
+          seen.push_back(value);
+          value = world.allreduce_sum(value);
+          seen.push_back(value);
+          world.barrier();
+          value = world.allreduce_max(value - world.rank());
+          seen.push_back(value);
+        }
+        comm += world.allreduce_sum_buffer(&value, 1);
+        seen.push_back(value);
+        return comm;
+      });
+
+  const trace::HockneyParams& link = config.link;
+  const double bcast = trace::bcast_cost(link, sizeof(double), kRanks);
+  const double reduce = trace::allreduce_cost(link, sizeof(double), kRanks);
+  const double barrier = trace::barrier_cost(link, kRanks);
+  double t = 0.0;
+  double comm = 0.0;
+  for (int round = 0; round < 4; ++round) {
+    t = t + bcast + reduce + barrier + reduce;
+    comm += bcast;
+  }
+  t += reduce;
+  comm += reduce;
+  // Round 0 broadcasts rank 0's 1; from then on every rank holds the same
+  // value, each sum multiplies it by 8 and each max keeps it (rank 0
+  // subtracts 0).
+  const std::vector<double> seen = {1,   8,   8,   8,    64,   64,   64,
+                                    512, 512, 512, 4096, 4096, 32768};
+  for (int r = 0; r < kRanks; ++r) {
+    const auto i = static_cast<std::size_t>(r);
+    EXPECT_EQ(out.clock_now[i], t) << "rank " << r;
+    EXPECT_EQ(out.comm_time[i], comm) << "rank " << r;
+    EXPECT_EQ(out.payloads[i], seen) << "rank " << r;
+  }
 }
 
 TEST(EngineEquivalence, AsyncOverlapScheduleIsBitIdentical) {
-  expect_engines_identical(6, [](Comm& world) {
-    double comm = 0.0;
+  constexpr int kRanks = 6;
+  const Config config = engine_config(kRanks);
+  const std::int64_t bytes = 128 * sizeof(double);
+  Runtime rt(config);
+  std::vector<double> comm(kRanks, 0.0);
+  std::vector<double> payload(kRanks, 0.0);
+  rt.run([&](Comm& world) {
+    const auto r = static_cast<std::size_t>(world.rank());
     std::vector<double> panel(128, world.rank() == 0 ? 1.5 : 0.0);
-    Request b =
-        world.ibcast_bytes(panel.data(), 128 * sizeof(double), 0);
+    Request b = world.ibcast_bytes(panel.data(), bytes, 0);
     // Overlapped "compute": advance the local lane before completing.
     world.clock().advance_compute(0.003 * (world.rank() + 1));
-    comm += world.wait(b);
-    return std::make_pair(panel[0], comm);
+    comm[r] = world.wait(b);
+    payload[r] = panel[127];
   });
+
+  // Every rank posts at 0, so the broadcast occupies [0, cost] on each
+  // comm lane; the part of it the rank's compute covers is hidden.
+  const double cost = trace::bcast_cost(config.link, bytes, kRanks);
+  for (int r = 0; r < kRanks; ++r) {
+    const auto i = static_cast<std::size_t>(r);
+    const double compute = 0.003 * (r + 1);
+    const double charged = cost > compute ? cost - compute : 0.0;
+    EXPECT_EQ(payload[i], 1.5) << "rank " << r;
+    EXPECT_EQ(comm[i], cost) << "rank " << r;
+    EXPECT_EQ(rt.clock(r).now(), std::max(compute, cost)) << "rank " << r;
+    EXPECT_EQ(rt.clock(r).comm_seconds(), charged) << "rank " << r;
+    EXPECT_EQ(rt.clock(r).hidden_comm_seconds(), cost - charged)
+        << "rank " << r;
+  }
 }
 
 TEST(EngineEquivalence, MultiNodeSubgroupScheduleIsBitIdentical) {
-  // Two nodes of 8: world collectives cross the inter-node link, row
-  // subgroups stay intra-node — the two-level pricing setup at p=16, the
-  // acceptance bound for bit-identity checks.
-  const auto body = [](Comm& world) {
-    double comm = 0.0;
-    std::vector<int> node_peers;
-    const int base = world.rank() < 8 ? 0 : 8;
-    for (int i = 0; i < 8; ++i) node_peers.push_back(base + i);
-    Comm sub = world.subgroup(node_peers);
-    double v = static_cast<double>(world.rank());
-    comm += sub.bcast(&v, 1, 0);
-    comm += world.bcast(&v, 1, 0);
-    v = world.allreduce_sum(v);
-    return std::make_pair(v, comm);
-  };
-  Config base = engine_config(16, Engine::kThread);
-  base.node_of.assign(16, 0);
-  for (int r = 8; r < 16; ++r) base.node_of[static_cast<std::size_t>(r)] = 1;
-
-  RunOutcome outcomes[2];
-  for (int pass = 0; pass < 2; ++pass) {
-    Config config = base;
-    config.engine = pass == 0 ? Engine::kThread : Engine::kModeled;
-    Runtime rt(config);
-    RunOutcome& out = outcomes[pass];
-    out.payload.assign(16, 0.0);
-    out.comm_time.assign(16, 0.0);
-    rt.run([&](Comm& world) {
-      const auto result = body(world);
-      out.payload[static_cast<std::size_t>(world.rank())] = result.first;
-      out.comm_time[static_cast<std::size_t>(world.rank())] = result.second;
-    });
-    for (int r = 0; r < 16; ++r) out.clock_now.push_back(rt.clock(r).now());
+  // Two nodes of 8: world collectives cross the inter-node link, the
+  // per-node subgroups stay on the intra-node fabric — the two-level
+  // pricing setup at p=16.
+  constexpr int kRanks = 16;
+  Config config = engine_config(kRanks);
+  config.node_of.assign(kRanks, 0);
+  for (int r = 8; r < kRanks; ++r) {
+    config.node_of[static_cast<std::size_t>(r)] = 1;
   }
-  for (std::size_t i = 0; i < 16; ++i) {
-    EXPECT_EQ(outcomes[0].clock_now[i], outcomes[1].clock_now[i]);
-    EXPECT_EQ(outcomes[0].comm_time[i], outcomes[1].comm_time[i]);
-    EXPECT_EQ(outcomes[0].payload[i], outcomes[1].payload[i]);
+  const RunOutcome out =
+      run_schedule(config, [](Comm& world, std::vector<double>& seen) {
+        double comm = 0.0;
+        std::vector<int> node_peers;
+        const int base = world.rank() < 8 ? 0 : 8;
+        for (int i = 0; i < 8; ++i) node_peers.push_back(base + i);
+        Comm sub = world.subgroup(node_peers);
+        double v = 1.0 + world.rank();
+        comm += sub.bcast(&v, 1, 0);
+        seen.push_back(v);
+        v += world.rank();
+        comm += world.bcast(&v, 1, 0);
+        seen.push_back(v);
+        v = world.allreduce_sum(v + world.rank());
+        seen.push_back(v);
+        return comm;
+      });
+
+  const double node_bcast =
+      trace::bcast_cost(config.link, sizeof(double), 8);
+  const double world_bcast =
+      trace::bcast_cost(config.internode_link, sizeof(double), kRanks);
+  const double world_reduce =
+      trace::allreduce_cost(config.internode_link, sizeof(double), kRanks);
+  const double t = 0.0 + node_bcast + world_bcast + world_reduce;
+  const double comm = 0.0 + node_bcast + world_bcast;
+  // Rank 0's value after the node broadcast is 1, so the world broadcast
+  // delivers 1 + 0; the sum adds every rank's index: 16 + 120.
+  for (int r = 0; r < kRanks; ++r) {
+    const auto i = static_cast<std::size_t>(r);
+    const double node_root_value = r < 8 ? 1.0 : 9.0;
+    EXPECT_EQ(out.clock_now[i], t) << "rank " << r;
+    EXPECT_EQ(out.comm_time[i], comm) << "rank " << r;
+    EXPECT_EQ(out.payloads[i],
+              (std::vector<double>{node_root_value, 1.0, 136.0}))
+        << "rank " << r;
   }
 }
 
-// --- Faults under the modeled engine ---
+// --- Faults on rank fibers ---
 
 TEST(ModeledEngine, CrashShrinkRecoveryWorks) {
-  Config config = engine_config(4, Engine::kModeled);
+  Config config = engine_config(4);
   FaultEvent crash;
   crash.kind = FaultKind::kCrash;
   crash.rank = 1;
@@ -310,9 +363,7 @@ TEST(ModeledEngine, CrashShrinkRecoveryWorks) {
 // --- Scale smoke: thousands of fibers on one thread ---
 
 TEST(ModeledEngine, FiveHundredTwelveRanksComplete) {
-  Config config = engine_config(512, Engine::kModeled);
-  config.fiber_stack_bytes = 128 * 1024;
-  Runtime rt(config);
+  Runtime rt(engine_config(512));
   double sum = -1.0;
   rt.run([&](Comm& world) {
     double v = 1.0;

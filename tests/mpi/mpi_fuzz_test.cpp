@@ -100,7 +100,6 @@ TEST(MpiFuzz, RandomProgramsMatchTheReferenceModel) {
     Config config;
     config.nranks = nranks;
     config.link = trace::HockneyParams{2.0e-6, 1.0e-9};
-    config.poll_interval_s = 0.002;
     Runtime runtime(config);
 
     std::vector<std::vector<double>> bcast_received(

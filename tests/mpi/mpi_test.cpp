@@ -13,7 +13,6 @@ namespace {
 Config small_config(int nranks) {
   Config config;
   config.nranks = nranks;
-  config.poll_interval_s = 0.005;
   return config;
 }
 

@@ -22,7 +22,6 @@ using summagen::util::block_view;
 Config small_config(int nranks) {
   Config config;
   config.nranks = nranks;
-  config.poll_interval_s = 0.005;
   return config;
 }
 

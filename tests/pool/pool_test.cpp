@@ -147,7 +147,7 @@ TEST(Pool, RecommendedSizeLeavesRoomForRanks) {
 // Ordering bug, pinned: set_reserved_threads used to only feed the lazy
 // default size, so a reservation made AFTER the shared pool's first use was
 // silently ignored — the pool kept its stale size and the host ended up
-// oversubscribed by the rank threads. A late reservation must resize the
+// oversubscribed by the reserved threads. A late reservation must resize the
 // already-constructed pool.
 TEST(Pool, LateReservationResizesConstructedPool) {
   (void)sgpool::Pool::instance();  // force construction before reserving
@@ -192,7 +192,7 @@ TEST(Pool, DgemmSpawnsNoThreads) {
 }
 
 TEST(Pool, ConcurrentDgemmCallersMatchSerialOracle) {
-  // N caller threads (standing in for sgmpi rank threads) share the one
+  // N caller threads (standing in for concurrent run_pmm callers) share the one
   // pool; every result must match the serial oracle exactly as computed
   // serially (the kernels are scheduling-independent).
   sgpool::Pool::configure(2);

@@ -33,7 +33,6 @@ core::ExperimentConfig modeled_config(partition::Shape shape) {
   config.n = 1024;
   config.shape = shape;
   config.cpm_speeds = {1.0, 2.0, 0.9};
-  config.engine = sgmpi::Engine::kModeled;
   return config;
 }
 

@@ -126,7 +126,6 @@ TEST(Simulator, ModeledServiceTimePricesBySignature) {
   config.platform = device::Platform::hclserver1();
   config.n = 768;
   config.cpm_speeds = {1.0, 2.0, 0.9};
-  config.engine = sgmpi::Engine::kModeled;
   const double first = model(config);
   EXPECT_GT(first, 0.0);
   EXPECT_EQ(model(config), first);
