@@ -9,7 +9,6 @@
 //
 //   $ ./custom_partition [--n 240]
 #include <iostream>
-#include <memory>
 
 #include "src/core/reference.hpp"
 #include "src/core/runner.hpp"
@@ -30,10 +29,8 @@ std::pair<double, double> execute(const partition::PartitionSpec& spec,
   util::Matrix a(spec.n, spec.n), b(spec.n, spec.n);
   util::fill_random(a, 1);
   util::fill_random(b, 2);
-  std::vector<std::unique_ptr<core::LocalData>> locals;
-  for (int r = 0; r < p; ++r) {
-    locals.push_back(std::make_unique<core::LocalData>(spec, r, a, b));
-  }
+  // Every rank's store, plus the one workspace lease their WA/WB slice.
+  const core::RunStores stores(spec, p, a, b);
   sgmpi::Config mpi_config;
   mpi_config.nranks = p;
   mpi_config.link = platform.mpi_link;
@@ -41,10 +38,10 @@ std::pair<double, double> execute(const partition::PartitionSpec& spec,
   runtime.run([&](sgmpi::Comm& world) {
     core::summagen_rank(world, spec,
                         processors[static_cast<std::size_t>(world.rank())],
-                        locals[static_cast<std::size_t>(world.rank())].get());
+                        stores.at(world.rank()));
   });
   util::Matrix c(spec.n, spec.n);
-  for (int r = 0; r < p; ++r) locals[static_cast<std::size_t>(r)]->gather_c(spec, c);
+  stores.gather_c(c);
   const double err =
       util::Matrix::max_abs_diff(c, core::reference_multiply(a, b));
   return {err, runtime.max_vtime()};

@@ -5,11 +5,13 @@
 // sub-partitions it owns. LocalData is that store, in two flavours
 // (DESIGN.md §5.2):
 //   * numeric - A/B sub-partitions are strided views in place over the
-//     global operands (zero copies, zero allocation); the local C is either
-//     a pooled private buffer over the covering rectangle or — when the
-//     caller passes the global C — a window viewed directly into it, in
-//     which case gather_c is a no-op because every owned cell was written
-//     in place;
+//     global operands (zero copies, zero allocation); the rank's working
+//     matrices WA and WB (paper Figs. 2-3) are its slices of the run's one
+//     workspace lease, owned by RunStores; the local C is either a pooled
+//     private buffer over the covering rectangle or — when the caller
+//     passes the global C — a window viewed directly into it, in which
+//     case gather_c is a no-op because every owned cell was written in
+//     place;
 //   * modeled - no storage at all; the algorithm still runs every loop and
 //     communication with null payloads, so figure benches can execute the
 //     paper's N = 25600..38416 without 10+ GB of allocation.
@@ -17,7 +19,9 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <utility>
+#include <vector>
 
 #include "src/partition/spec.hpp"
 #include "src/util/buffer_pool.hpp"
@@ -29,23 +33,12 @@ namespace summagen::core {
 /// Local matrices of one rank under a given PartitionSpec.
 ///
 /// Numeric instances view the caller's global A/B (and optionally C)
-/// in place, so those matrices must outlive the LocalData.
+/// in place, so those matrices must outlive the LocalData. They are built
+/// only by RunStores, which also hands each one its WA/WB workspace.
 class LocalData {
  public:
   /// Modeled plane: no buffers.
   LocalData() = default;
-
-  /// Numeric plane: records `rank`'s owned sub-partitions of `a` and `b`
-  /// as in-place views (both matrices are n x n per `spec`). When
-  /// `c_global` is null the local C is a pooled covering-rectangle buffer
-  /// (zero-filled); when non-null the local C is a window into `c_global`
-  /// — owned C cells are disjoint across ranks, so every rank may write
-  /// its cells directly and `gather_c` becomes a no-op. Fault-tolerant
-  /// phases must use the private-C form: a re-executed phase accumulates
-  /// from zero, which an in-place global C cannot provide.
-  LocalData(const partition::PartitionSpec& spec, int rank,
-            const util::Matrix& a, const util::Matrix& b,
-            util::Matrix* c_global = nullptr);
 
   bool numeric() const { return numeric_; }
   int rank() const { return rank_; }
@@ -55,6 +48,15 @@ class LocalData {
   util::ConstMatrixView a_part(int bi, int bj) const;
   util::ConstMatrixView b_part(int bi, int bj) const;
   bool owns(int bi, int bj) const;
+
+  /// WA: the rank's block rows of A across all n columns (wa_rows x n,
+  /// ld n), starting at matrix row `wa_row0()`. WB: its block columns of B
+  /// down all n rows (n x wb_cols, ld wb_cols), starting at matrix column
+  /// `wb_col0()`. Slices of the RunStores lease; empty once it is released.
+  util::MatrixView wa() const { return wa_; }
+  util::MatrixView wb() const { return wb_; }
+  std::int64_t wa_row0() const { return wa_row0_; }
+  std::int64_t wb_col0() const { return wb_col0_; }
 
   /// Local C spanning the covering rectangle (numeric only).
   util::MatrixView c() { return c_view_; }
@@ -67,10 +69,17 @@ class LocalData {
   /// Writes this rank's owned C sub-partitions into the global matrix.
   /// Unowned cells inside the covering rectangle are left untouched. A
   /// no-op for in-place C (the cells are already there).
-  void gather_c(const partition::PartitionSpec& spec, util::Matrix& c_global)
-      const;
+  void gather_c(util::Matrix& c_global) const;
 
  private:
+  friend class RunStores;
+
+  /// Numeric plane: records `rank`'s owned sub-partitions of `a` and `b`
+  /// as in-place views and its local C (see RunStores).
+  LocalData(const partition::PartitionSpec& spec, int rank,
+            const util::Matrix& a, const util::Matrix& b,
+            util::Matrix* c_global);
+
   const partition::Rect& cell(const char* which, int bi, int bj) const;
 
   bool numeric_ = false;
@@ -78,10 +87,58 @@ class LocalData {
   const util::Matrix* a_ = nullptr;
   const util::Matrix* b_ = nullptr;
   std::map<std::pair<int, int>, partition::Rect> cells_;
+  util::MatrixView wa_;
+  util::MatrixView wb_;
+  std::int64_t wa_row0_ = 0;
+  std::int64_t wb_col0_ = 0;
   util::PooledBuffer c_store_;
   util::MatrixView c_view_;
   partition::Rect c_rect_;
   bool c_in_place_ = false;
+};
+
+/// Every rank's numeric LocalData for one execution of a spec — a whole
+/// run, or one phase of a fault-tolerant run — plus the one pooled
+/// workspace lease their WA and WB are sliced from.
+///
+/// All ranks of a run share one process, so their workspaces are a single
+/// lease of sum_r (wa_rows_r + wb_cols_r) * n doubles (each WA and WB
+/// starting on a 64-byte boundary) rather than 2p leases of their own
+/// sizes: the pool then keeps one block per run, not a high-water mark in
+/// every size class some rank's WA or WB ever landed in.
+class RunStores {
+ public:
+  /// No stores: the modeled plane, which never leases.
+  RunStores() = default;
+
+  /// Stores for world ranks 0 .. nranks-1 under `spec` (validated for
+  /// `nranks` processors) over the n x n globals `a` and `b`; a rank that
+  /// owns nothing gets an empty store and no workspace. When `c_global` is
+  /// null each rank's C is a pooled, zero-filled covering-rectangle buffer;
+  /// when non-null it is a window into `c_global` — owned C cells are
+  /// disjoint across ranks, so every rank may write its cells directly and
+  /// gather_c becomes a no-op. Fault-tolerant phases must use private C: a
+  /// re-executed phase accumulates from zero, which an in-place global C
+  /// cannot provide. Throws std::invalid_argument on a spec invalid for
+  /// `nranks` and on wrong global shapes.
+  RunStores(const partition::PartitionSpec& spec, int nranks,
+            const util::Matrix& a, const util::Matrix& b,
+            util::Matrix* c_global = nullptr);
+
+  /// `rank`'s store; null on the modeled plane (no stores) and for a rank
+  /// outside 0 .. nranks-1.
+  LocalData* at(int rank) const;
+
+  /// Writes every rank's owned C cells into `c_global`.
+  void gather_c(util::Matrix& c_global) const;
+
+  /// Returns the workspace lease to the pool and empties every rank's WA
+  /// and WB; the C stores stay until the RunStores goes.
+  void release_workspace();
+
+ private:
+  util::PooledBuffer workspace_;
+  std::vector<std::unique_ptr<LocalData>> locals_;  ///< by rank
 };
 
 }  // namespace summagen::core

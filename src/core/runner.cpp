@@ -31,12 +31,11 @@ void accumulate_report(RankReport& into, const RankReport& r) {
 }
 
 /// One execution phase of a fault-tolerant run: the distribution it ran
-/// under, who participated, each participant's local store (numeric plane,
-/// indexed by world rank) and the completed-cell set it started from.
+/// under, every rank's local store with the phase's workspace lease
+/// (numeric plane) and the completed-cell set it started from.
 struct Phase {
   partition::PartitionSpec spec;
-  std::vector<int> members;  ///< surviving world ranks, ascending
-  std::vector<std::unique_ptr<LocalData>> locals;
+  RunStores stores;
   CellSet done_at_start;
   std::int64_t redistributed = 0;
   /// Drift-triggered re-partitions already performed when this phase
@@ -209,8 +208,7 @@ ExperimentResult run_pmm(const ExperimentConfig& config) {
   // Numeric plane: build the global inputs (and the gather target) and each
   // rank's local store.
   util::Matrix a, b, c;
-  std::vector<std::unique_ptr<LocalData>> locals(
-      static_cast<std::size_t>(p));
+  RunStores stores;  // stays empty on the modeled plane, which never leases
   if (config.numeric) {
     a = util::Matrix(config.n, config.n);
     b = util::Matrix(config.n, config.n);
@@ -241,12 +239,10 @@ ExperimentResult run_pmm(const ExperimentConfig& config) {
     // disjoint, so its LocalData views the global C directly and the final
     // gather is a no-op. Fault-tolerant runs must keep a private pooled C
     // per phase — a re-executed phase accumulates its cells from zero, and
-    // only copy_cell_c decides which phase's value survives.
-    util::Matrix* c_target = fault_tolerant ? nullptr : &c;
-    for (int r = 0; r < p; ++r) {
-      locals[static_cast<std::size_t>(r)] =
-          std::make_unique<LocalData>(result.spec, r, a, b, c_target);
-    }
+    // only copy_cell_c decides which phase's value survives. Either way
+    // every rank's WA and WB are slices of the one workspace lease the
+    // stores take here, inside the accounting window.
+    stores = RunStores(result.spec, p, a, b, fault_tolerant ? nullptr : &c);
   }
 
   result.reports.resize(static_cast<std::size_t>(p));
@@ -324,14 +320,14 @@ ExperimentResult run_pmm(const ExperimentConfig& config) {
       ftctx.drift_factor = drift_for(r);
       result.reports[static_cast<std::size_t>(r)] = summagen_rank(
           world, result.spec, processors[static_cast<std::size_t>(r)],
-          locals[static_cast<std::size_t>(r)].get(), config.contended,
-          config.summagen_options, config.drift.empty() ? nullptr : &ftctx);
+          stores.at(r), config.contended, config.summagen_options,
+          config.drift.empty() ? nullptr : &ftctx);
     });
+    stores.release_workspace();
   } else {
     auto ph0 = std::make_unique<Phase>();
     ph0->spec = result.spec;
-    for (int r = 0; r < p; ++r) ph0->members.push_back(r);
-    ph0->locals = std::move(locals);
+    ph0->stores = std::move(stores);
     phases.push_back(std::move(ph0));
 
     runtime.run([&](sgmpi::Comm& world) {
@@ -367,12 +363,10 @@ ExperimentResult run_pmm(const ExperimentConfig& config) {
               return true;
             };
           }
-          LocalData* ld = config.numeric
-                              ? ph->locals[static_cast<std::size_t>(wr)].get()
-                              : nullptr;
           const RankReport rep = summagen_rank(
-              world, ph->spec, processors[static_cast<std::size_t>(wr)], ld,
-              config.contended, config.summagen_options, &ftctx);
+              world, ph->spec, processors[static_cast<std::size_t>(wr)],
+              ph->stores.at(wr), config.contended, config.summagen_options,
+              &ftctx);
           {
             std::lock_guard<std::mutex> lk(rec_mutex);
             accumulate_report(result.reports[static_cast<std::size_t>(wr)],
@@ -384,19 +378,18 @@ ExperimentResult run_pmm(const ExperimentConfig& config) {
           return;
         } catch (const sgmpi::PeerFailedError&) {
           const sgmpi::ShrinkResult res = world.shrink();
-          Phase* next = nullptr;
           {
             std::lock_guard<std::mutex> lk(rec_mutex);
             if (phases.size() == round + 1) {
               // First survivor out of the shrink builds the next phase; the
               // completed-cell set is stable here because every live rank
-              // has unwound into the shrink gate.
+              // has unwound into the shrink gate — and with it out of the
+              // finished phase's WA/WB.
               bool drift_round = false;
               for (const sgmpi::FaultEvent& ev : res.handled) {
                 if (ev.kind == sgmpi::FaultKind::kDrift) drift_round = true;
               }
               auto np = std::make_unique<Phase>();
-              np->members = res.survivors;
               np->done_at_start = done;
               np->drift_rounds = phases[round]->drift_rounds;
               std::vector<double> weights = survivor_weights(res.survivors);
@@ -444,14 +437,15 @@ ExperimentResult run_pmm(const ExperimentConfig& config) {
                                                   res.survivors, weights,
                                                   &np->redistributed);
               }
-              np->locals.resize(static_cast<std::size_t>(p));
+              if (config.numeric) {
+                // Swap the finished phase's workspace lease for one over
+                // the survivors' extents (dead ranks own nothing in the new
+                // spec). Its private C stays leased until the gather.
+                phases[round]->stores.release_workspace();
+                np->stores = RunStores(np->spec, p, a, b);
+              }
               phases.push_back(std::move(np));
             }
-            next = phases[round + 1].get();
-          }
-          if (config.numeric) {
-            next->locals[static_cast<std::size_t>(wr)] =
-                std::make_unique<LocalData>(next->spec, wr, a, b);
           }
           ++round;
         }
@@ -476,6 +470,7 @@ ExperimentResult run_pmm(const ExperimentConfig& config) {
       }
     }
     for (const auto& ph : phases) result.redistributed_area += ph->redistributed;
+    phases.back()->stores.release_workspace();
   }
 
   for (int r = 0; r < p; ++r) {
@@ -507,9 +502,7 @@ ExperimentResult run_pmm(const ExperimentConfig& config) {
 
   if (config.numeric) {
     if (!fault_tolerant) {
-      for (int r = 0; r < p; ++r) {
-        locals[static_cast<std::size_t>(r)]->gather_c(result.spec, c);
-      }
+      stores.gather_c(c);
     } else {
       // Assemble each C sub-partition from the phase that completed it:
       // the cells a phase finished are its successor's done_at_start minus
@@ -521,11 +514,11 @@ ExperimentResult run_pmm(const ExperimentConfig& config) {
         for (const auto& cell : end) {
           if (start.count(cell) != 0) continue;
           const int owner = phases[k]->spec.owner(cell.first, cell.second);
-          copy_cell_c(phases[k]->spec,
-                      *phases[k]->locals[static_cast<std::size_t>(owner)],
+          copy_cell_c(phases[k]->spec, *phases[k]->stores.at(owner),
                       cell.first, cell.second, c);
         }
       }
+      phases.clear();  // the private C stores have been gathered
     }
     // Re-take the window with the gather included, then close the sink:
     // verification is measurement harness, not data plane, and must not

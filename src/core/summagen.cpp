@@ -16,7 +16,6 @@
 #include "src/core/taskgraph/taskgraph.hpp"
 #include "src/pool/pool.hpp"
 #include "src/util/accounting.hpp"
-#include "src/util/buffer_pool.hpp"
 #include "src/util/matrix_view.hpp"
 
 namespace summagen::core {
@@ -114,8 +113,8 @@ SharedSchedule shared_schedule(const partition::PartitionSpec& spec,
 }
 
 /// Per-rank geometry shared by every plan step executor. It holds the
-/// rank's only copy of the row/column offset vectors; summagen_rank sizes
-/// the WA/WB workspaces from them and then points `wa`/`wb` at the storage.
+/// rank's only copy of the row/column offset vectors and, on the numeric
+/// plane, its WA/WB slices of the run's workspace lease (RunStores).
 struct Frame {
   const partition::PartitionSpec& spec;
   LocalData* data;      ///< nullptr on the modeled plane
@@ -126,13 +125,17 @@ struct Frame {
   std::int64_t wa_base = 0;  ///< first matrix row covered by WA
   std::int64_t wb_base = 0;  ///< first matrix column covered by WB
 
-  Frame(const partition::PartitionSpec& spec_in, int rank, LocalData* data_in)
+  Frame(const partition::PartitionSpec& spec_in, LocalData* data_in)
       : spec(spec_in),
         data(data_in),
         roff(spec_in.row_offsets()),
         coff(spec_in.col_offsets()) {
-    wa_base = roff[static_cast<std::size_t>(spec.row_span(rank).first)];
-    wb_base = coff[static_cast<std::size_t>(spec.col_span(rank).first)];
+    if (data != nullptr) {
+      wa = data->wa();
+      wb = data->wb();
+      wa_base = data->wa_row0();
+      wb_base = data->wb_col0();
+    }
   }
 
   /// Destination of panel rows [op.p0, op.p0 + op.rows) of `op`'s payload
@@ -346,30 +349,15 @@ RankReport summagen_rank(sgmpi::Comm& world,
     throw std::invalid_argument(
         "summagen_rank: pass nullptr for the modeled plane");
   }
+  if (data != nullptr && data->wa().cols() != spec.n) {
+    throw std::invalid_argument(
+        "summagen_rank: no n-column WA in the rank's store (its "
+        "workspace was released, or the stores are for another spec)");
+  }
   const int rank = world.rank();
-  Frame frame(spec, rank, data);
+  Frame frame(spec, data);
 
   RankReport report;
-
-  // The WA/WB workspaces come from the process-wide buffer pool and are
-  // deliberately not zeroed: the plan writes every region a DGEMM reads
-  // (all cells of my block row land in WA and of my block column in WB
-  // before any chunk touches them) — including under recovery filtering,
-  // which keeps an A/B op whenever any surviving DGEMM reads its
-  // row/column.
-  util::PooledBuffer wa_store, wb_store;
-  if (data != nullptr) {
-    const auto [myi, block_lda] = spec.row_span(rank);
-    const auto [myj, block_ldb] = spec.col_span(rank);
-    const std::int64_t wa_rows =
-        frame.roff[static_cast<std::size_t>(myi + block_lda)] - frame.wa_base;
-    const std::int64_t wb_cols =
-        frame.coff[static_cast<std::size_t>(myj + block_ldb)] - frame.wb_base;
-    wa_store = util::BufferPool::instance().acquire(wa_rows * spec.n);
-    wb_store = util::BufferPool::instance().acquire(spec.n * wb_cols);
-    frame.wa = util::MatrixView(wa_store.data(), wa_rows, spec.n, spec.n);
-    frame.wb = util::MatrixView(wb_store.data(), spec.n, wb_cols, wb_cols);
-  }
 
   // Fetch the rank-invariant plan + dependency task graph (shared across
   // ranks — see SharedSchedule) and — on recovery phases — prune a private

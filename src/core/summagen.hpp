@@ -19,7 +19,9 @@
 // The function is data-plane agnostic: with a numeric LocalData it moves
 // and multiplies real doubles; with `data == nullptr` it performs the same
 // communication schedule with null payloads and only advances the virtual
-// clocks (benches at paper-scale N).
+// clocks (benches at paper-scale N). It allocates no workspace: a numeric
+// rank's WA and WB are its slices of the one lease its RunStores holds for
+// all ranks of the run (src/core/dataplane.hpp).
 #pragma once
 
 #include <cstdint>
@@ -134,8 +136,9 @@ struct FtContext {
 ///
 /// `world` must have one rank per processor named in `spec`; `ap` is this
 /// rank's abstract processor (its performance model prices the local
-/// DGEMMs). `data` selects the plane: a numeric LocalData for this rank and
-/// spec, or nullptr for the modeled plane. `contended` mirrors the paper's
+/// DGEMMs). `data` selects the plane: this rank's LocalData from a
+/// RunStores over `spec` (which owns its WA/WB), or nullptr for the
+/// modeled plane. `contended` mirrors the paper's
 /// simultaneous-load measurement methodology. `ft` (optional) wires the
 /// fault-tolerant runner in: completed-cell tracking plus re-execution of
 /// only the unfinished plan ops. Under a fault plan the execution polls for
@@ -143,7 +146,8 @@ struct FtContext {
 /// sgmpi::RankCrashedError mid-run.
 ///
 /// All ranks must call collectively with the same spec. Throws
-/// std::invalid_argument on spec/world mismatches.
+/// std::invalid_argument on spec/world mismatches and on a store whose
+/// workspace was released.
 RankReport summagen_rank(sgmpi::Comm& world,
                          const partition::PartitionSpec& spec,
                          const device::AbstractProcessor& ap, LocalData* data,

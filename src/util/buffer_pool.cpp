@@ -1,5 +1,6 @@
 #include "src/util/buffer_pool.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "src/util/accounting.hpp"
@@ -37,19 +38,22 @@ PooledBuffer BufferPool::acquire(std::size_t doubles) {
   if (doubles == 0) return PooledBuffer();
   const std::size_t idx = class_index(doubles);
   std::size_t capacity = class_capacity(idx);
-  // Requests beyond the largest class get an exact-size allocation that is
-  // freed (not cached) on release — see put_back.
-  if (capacity < doubles) capacity = doubles;
-
-  SizeClass& cls = classes_[idx];
-  {
-    std::lock_guard<std::mutex> lock(cls.mu);
-    if (!cls.free.empty() && capacity == class_capacity(idx)) {
-      std::unique_ptr<double[]> data = std::move(cls.free.back());
-      cls.free.pop_back();
-      record_pool_acquire(/*hit=*/true);
-      return PooledBuffer(this, std::move(data), doubles,
-                          class_capacity(idx));
+  if (capacity < doubles) {
+    // Requests beyond the largest class get an exact-size allocation that
+    // is freed (not cached) on release — see put_back.
+    capacity = doubles;
+  } else {
+    // An idle block of the request's own class, else one lent from the
+    // class above: the block keeps its capacity, so put_back files it
+    // under its own class again. Lending stops one class up, so a lent
+    // block is never more than twice the request's own class.
+    const std::size_t last = std::min(idx + kLendClasses, kNumClasses - 1);
+    for (std::size_t from = idx; from <= last; ++from) {
+      if (std::unique_ptr<double[]> data = take_idle(from)) {
+        record_pool_acquire(/*hit=*/true);
+        return PooledBuffer(this, std::move(data), doubles,
+                            class_capacity(from));
+      }
     }
   }
   record_pool_acquire(/*hit=*/false);
@@ -58,6 +62,15 @@ PooledBuffer BufferPool::acquire(std::size_t doubles) {
   record_alloc(bytes);
   record_pool_resident_delta(bytes);
   return PooledBuffer(this, std::move(data), doubles, capacity);
+}
+
+std::unique_ptr<double[]> BufferPool::take_idle(std::size_t idx) {
+  SizeClass& cls = classes_[idx];
+  std::lock_guard<std::mutex> lock(cls.mu);
+  if (cls.free.empty()) return nullptr;
+  std::unique_ptr<double[]> data = std::move(cls.free.back());
+  cls.free.pop_back();
+  return data;
 }
 
 void BufferPool::put_back(std::unique_ptr<double[]> data,

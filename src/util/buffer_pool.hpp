@@ -1,19 +1,28 @@
 // Process-wide size-classed pool for transient double workspaces.
 //
 // The data plane needs short-lived scratch buffers constantly — GEMM pack
-// panels, broadcast staging for strided sub-partitions, per-phase WA/WB
-// workspaces, OOC device slabs. Allocating them with std::vector meant a
-// malloc + zero-fill per use (and, for the old thread_local pack buffers,
-// memory retained forever on every pool worker). The BufferPool serves
-// these from power-of-two size-classed freelists: steady-state acquire is
-// a mutex-guarded pop, memory is bounded by the high-water mark of
-// *concurrent* use, and every transaction is accounted (hit rate, fresh
-// bytes, resident peak) via src/util/accounting.hpp.
+// panels, broadcast staging for strided sub-partitions, a run's WA/WB
+// workspace lease, OOC device slabs. Allocating them with std::vector
+// meant a malloc + zero-fill per use (and, for the old thread_local pack
+// buffers, memory retained forever on every pool worker). The BufferPool
+// serves these from power-of-two size-classed freelists: steady-state
+// acquire is a mutex-guarded pop, and every transaction is accounted (hit
+// rate, fresh bytes, resident peak) via src/util/accounting.hpp.
+//
+// Memory is bounded per class, not overall: each class keeps the
+// high-water mark of its own *concurrent* use, so a process that has seen
+// many request sizes holds a high-water mark in each of their classes. A
+// request whose class has no idle block borrows one from the next class up
+// before allocating (the block returns to its own class on release), so a
+// workload whose sizes straddle a class boundary keeps one block, not one
+// per class. Lending goes one class up only: a smaller block never serves
+// a larger request, and a small request never pins a block more than
+// twice its own class.
 //
 // Buffers are NOT zero-initialised on acquire — callers overwrite them.
 //
 // Contract: every lease ends with the call or run that took it. dgemm
-// releases its pack buffers and run_pmm its workspaces before returning,
+// releases its pack buffers and run_pmm its workspace before returning,
 // and no cache keeps a PooledBuffer alive across calls, so with no run in
 // flight trim() leaves nothing resident (tests/core/alloc_test.cpp).
 #pragma once
@@ -31,7 +40,8 @@ class BufferPool;
 
 /// RAII handle to a pooled double buffer; returns the storage to the pool
 /// on destruction. Move-only. `size()` is the requested element count;
-/// the underlying block may be larger (its size class).
+/// `capacity()` is the block's: its size class, or the class above when
+/// the block was lent.
 class PooledBuffer {
  public:
   PooledBuffer() = default;
@@ -92,8 +102,10 @@ class BufferPool {
   /// thread_local caches or static state can release safely at shutdown.
   static BufferPool& instance();
 
-  /// Acquires a buffer of at least `doubles` elements (uninitialised).
-  /// A zero-size request returns an empty handle without touching the pool.
+  /// Acquires a buffer of at least `doubles` elements (uninitialised): an
+  /// idle block of the request's size class, else an idle block of the
+  /// next class up, else a fresh allocation. A zero-size request returns
+  /// an empty handle without touching the pool.
   PooledBuffer acquire(std::size_t doubles);
 
   /// Frees every cached (idle) buffer. Outstanding PooledBuffers are
@@ -114,6 +126,8 @@ class BufferPool {
   // Size classes are powers of two from 2^kMinClassLog2 doubles upward.
   static constexpr std::size_t kMinClassLog2 = 8;  // 256 doubles = 2 KiB
   static constexpr std::size_t kNumClasses = 34;   // up to 2^41 doubles
+  // How many classes up an empty class may borrow an idle block from.
+  static constexpr std::size_t kLendClasses = 1;
 
   struct SizeClass {
     mutable std::mutex mu;
@@ -123,6 +137,8 @@ class BufferPool {
   static std::size_t class_index(std::size_t doubles);
   static std::size_t class_capacity(std::size_t index);
 
+  /// Pops an idle block of class `idx`, or returns null.
+  std::unique_ptr<double[]> take_idle(std::size_t idx);
   void put_back(std::unique_ptr<double[]> data, std::size_t capacity);
 
   std::array<SizeClass, kNumClasses> classes_;

@@ -119,6 +119,37 @@ TEST(AllocSteadyState, TaskGraphChunkCountDoesNotChangeAllocations) {
   EXPECT_LE(fine.alloc.alloc_bytes, 4 * kMiB);
 }
 
+// A run's WA/WB workspace is one pooled lease, and the pool lends an idle
+// block one size class up, so rotating through shapes whose workspaces
+// differ reuses the first run's block: after the first run no run
+// allocates a workspace and the pool's residency stays flat. The slack is
+// one per-call scratch block — a packed B block of n x KC = 1024 x 256
+// doubles — the scheduling jitter the warm-run test above also allows.
+TEST(AllocSteadyState, ShapeRotationReusesOneWorkspace) {
+  constexpr std::int64_t kScratchSlack = 2 * kMiB;
+  util::BufferPool::instance().trim();
+  std::int64_t first_resident = -1;
+  for (int round = 0; round < 2; ++round) {
+    for (Shape shape : {Shape::kSquareCorner, Shape::kSquareRectangle,
+                        Shape::kBlockRectangle}) {
+      ExperimentConfig config = numeric_config(shape, Scheduler::kTaskGraph);
+      config.cpm_speeds = {1.0, 2.0, 0.9};  // HCLServer1, n = 1024
+      const ExperimentResult run = core::run_pmm(config);
+      ASSERT_TRUE(run.verified) << partition::shape_name(shape);
+      const std::int64_t resident =
+          util::data_plane_stats().pool_resident_bytes;
+      if (first_resident < 0) {
+        first_resident = resident;
+        continue;
+      }
+      const std::string label = std::string(partition::shape_name(shape)) +
+                                " round " + std::to_string(round);
+      EXPECT_LE(run.alloc.alloc_bytes, kScratchSlack) << label;
+      EXPECT_LE(resident, first_resident + kScratchSlack) << label;
+    }
+  }
+}
+
 // Every pooled lease ends with the call or run that took it: once a run
 // has returned, trimming the pool's idle buffers leaves nothing resident.
 // A packed B block kept alive across runs would show up here.

@@ -2,8 +2,6 @@
 // hold between related runs, independent of absolute results.
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "src/core/reference.hpp"
 #include "src/core/runner.hpp"
 #include "src/util/rng.hpp"
@@ -17,20 +15,17 @@ util::Matrix product(const partition::PartitionSpec& spec,
                      const util::Matrix& b) {
   const int p = platform.nprocs();
   const auto processors = platform.processors();
-  std::vector<std::unique_ptr<LocalData>> locals;
-  for (int r = 0; r < p; ++r) {
-    locals.push_back(std::make_unique<LocalData>(spec, r, a, b));
-  }
+  const RunStores stores(spec, p, a, b);
   sgmpi::Config mpi_config;
   mpi_config.nranks = p;
   sgmpi::Runtime runtime(mpi_config);
   runtime.run([&](sgmpi::Comm& world) {
     summagen_rank(world, spec,
                   processors[static_cast<std::size_t>(world.rank())],
-                  locals[static_cast<std::size_t>(world.rank())].get());
+                  stores.at(world.rank()));
   });
   util::Matrix c(spec.n, spec.n);
-  for (int r = 0; r < p; ++r) locals[static_cast<std::size_t>(r)]->gather_c(spec, c);
+  stores.gather_c(c);
   return c;
 }
 

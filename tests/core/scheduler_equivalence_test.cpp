@@ -5,7 +5,6 @@
 // what is communicated).
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
 #include "src/core/runner.hpp"
@@ -30,10 +29,7 @@ util::Matrix distributed_c(Shape shape, Scheduler scheduler, int depth,
   util::Matrix a(n, n), b(n, n);
   util::fill_random(a, 1);
   util::fill_random(b, 2);
-  std::vector<std::unique_ptr<core::LocalData>> locals;
-  for (int r = 0; r < 3; ++r) {
-    locals.push_back(std::make_unique<core::LocalData>(spec, r, a, b));
-  }
+  const core::RunStores stores(spec, 3, a, b);
   const auto platform = device::Platform::hclserver1();
   const auto processors = platform.processors(blas::GemmOptions{});
 
@@ -46,15 +42,13 @@ util::Matrix distributed_c(Shape shape, Scheduler scheduler, int depth,
   mpi_config.nranks = 3;
   sgmpi::Runtime runtime(mpi_config);
   runtime.run([&](sgmpi::Comm& world) {
-    const std::size_t r = static_cast<std::size_t>(world.rank());
-    core::summagen_rank(world, spec, processors[r], locals[r].get(),
-                        /*contended=*/true, options);
+    core::summagen_rank(world, spec,
+                        processors[static_cast<std::size_t>(world.rank())],
+                        stores.at(world.rank()), /*contended=*/true, options);
   });
 
   util::Matrix c(n, n);
-  for (int r = 0; r < 3; ++r) {
-    locals[static_cast<std::size_t>(r)]->gather_c(spec, c);
-  }
+  stores.gather_c(c);
   return c;
 }
 

@@ -124,20 +124,17 @@ TEST(Pipeline, ColumnBasedBaselineVerifiesNumerically) {
   util::Matrix a(n, n), b(n, n);
   util::fill_random(a, 5);
   util::fill_random(b, 6);
-  std::vector<std::unique_ptr<core::LocalData>> locals;
-  for (int r = 0; r < 3; ++r) {
-    locals.push_back(std::make_unique<core::LocalData>(spec, r, a, b));
-  }
+  const core::RunStores stores(spec, 3, a, b);
   sgmpi::Config mpi_config;
   mpi_config.nranks = 3;
   sgmpi::Runtime runtime(mpi_config);
   runtime.run([&](sgmpi::Comm& world) {
     core::summagen_rank(world, spec,
                         processors[static_cast<std::size_t>(world.rank())],
-                        locals[static_cast<std::size_t>(world.rank())].get());
+                        stores.at(world.rank()));
   });
   util::Matrix c(n, n);
-  for (int r = 0; r < 3; ++r) locals[static_cast<std::size_t>(r)]->gather_c(spec, c);
+  stores.gather_c(c);
   const auto want = core::reference_multiply(a, b);
   EXPECT_LE(util::Matrix::max_abs_diff(c, want), core::gemm_tolerance(n));
 }

@@ -3,7 +3,6 @@
 // hand-crafted irregular ones no shape builder would produce.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <numeric>
 
 #include "src/core/reference.hpp"
@@ -23,22 +22,17 @@ double run_spec(const partition::PartitionSpec& spec, int nprocs,
   util::Matrix a(spec.n, spec.n), b(spec.n, spec.n);
   util::fill_random(a, util::derive_seed(seed, 1));
   util::fill_random(b, util::derive_seed(seed, 2));
-  std::vector<std::unique_ptr<core::LocalData>> locals;
-  for (int r = 0; r < nprocs; ++r) {
-    locals.push_back(std::make_unique<core::LocalData>(spec, r, a, b));
-  }
+  const core::RunStores stores(spec, nprocs, a, b);
   sgmpi::Config mpi_config;
   mpi_config.nranks = nprocs;
   sgmpi::Runtime runtime(mpi_config);
   runtime.run([&](sgmpi::Comm& world) {
     core::summagen_rank(world, spec,
                         processors[static_cast<std::size_t>(world.rank())],
-                        locals[static_cast<std::size_t>(world.rank())].get());
+                        stores.at(world.rank()));
   });
   util::Matrix c(spec.n, spec.n);
-  for (int r = 0; r < nprocs; ++r) {
-    locals[static_cast<std::size_t>(r)]->gather_c(spec, c);
-  }
+  stores.gather_c(c);
   return util::Matrix::max_abs_diff(c, core::reference_multiply(a, b));
 }
 

@@ -1,6 +1,6 @@
 // Tests of the size-classed BufferPool and its accounting hooks: freelist
-// reuse, hit/miss counters, residency tracking, trim, and the RAII handle's
-// move semantics. A private pool instance keeps the pointer-identity
+// reuse, one-class-up lending, hit/miss counters, residency tracking, trim,
+// and the RAII handle's move semantics. A private pool instance keeps the pointer-identity
 // assertions deterministic (the process singleton is shared with every
 // other test in the binary).
 #include <gtest/gtest.h>
@@ -53,6 +53,49 @@ TEST(BufferPool, DifferentSizeClassesDoNotShareBlocks) {
   PooledBuffer big = pool.acquire(10000);
   EXPECT_NE(big.data(), small);
   EXPECT_EQ(pool.cached_count(), 1u);
+}
+
+TEST(BufferPool, EmptyClassBorrowsFromNextClassUp) {
+  BufferPool pool;
+  double* big = nullptr;
+  std::size_t big_capacity = 0;
+  {
+    PooledBuffer b = pool.acquire(4096);  // the 4096-double class
+    big = b.data();
+    big_capacity = b.capacity();
+  }
+  ASSERT_EQ(big_capacity, 4096u);
+  const DataPlaneStats base = data_plane_stats();
+  {
+    // 2000 doubles fall in the 2048-double class, one below, which has no
+    // idle block: the request borrows the 4096-double block.
+    PooledBuffer lent = pool.acquire(2000);
+    EXPECT_EQ(lent.data(), big);
+    EXPECT_EQ(lent.size(), 2000u);
+    EXPECT_EQ(lent.capacity(), big_capacity);
+    EXPECT_EQ(pool.cached_count(), 0u);
+  }
+  const DataPlaneStats d = data_plane_stats().since(base);
+  EXPECT_EQ(d.pool_hits, 1);
+  EXPECT_EQ(d.allocs, 0);
+  // Released, the block is filed under its own class again: a request of
+  // that class gets it back without allocating.
+  EXPECT_EQ(pool.cached_count(), 1u);
+  PooledBuffer again = pool.acquire(4096);
+  EXPECT_EQ(again.data(), big);
+  EXPECT_EQ(data_plane_stats().since(base).allocs, 0);
+}
+
+TEST(BufferPool, LendsAtMostOneClassUp) {
+  BufferPool pool;
+  double* two_up = nullptr;
+  { two_up = pool.acquire(8192).data(); }  // two classes above 2048
+  const DataPlaneStats base = data_plane_stats();
+  PooledBuffer fresh = pool.acquire(2000);
+  EXPECT_NE(fresh.data(), two_up);
+  EXPECT_EQ(fresh.capacity(), 2048u);
+  EXPECT_EQ(data_plane_stats().since(base).allocs, 1);
+  EXPECT_EQ(pool.cached_count(), 1u);  // the 8192 block stays idle
 }
 
 TEST(BufferPool, HitAndMissAccounting) {
