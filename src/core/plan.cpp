@@ -28,6 +28,7 @@ void emit_line(const partition::PartitionSpec& spec,
   const std::vector<int> owners =
       is_a ? spec.ranks_in_row(line) : spec.ranks_in_col(line);
   const int cross = is_a ? spec.subpldb : spec.subplda;
+  int group = -1;  // registered with the line's first broadcast
 
   for (int k = 0; k < cross; ++k) {
     const int bi = is_a ? line : k;
@@ -41,7 +42,12 @@ void emit_line(const partition::PartitionSpec& spec,
       continue;
     }
 
+    if (group < 0) {
+      group = static_cast<int>(plan.groups.size());
+      plan.groups.push_back(owners);
+    }
     const int owner = spec.owner(bi, bj);
+    const int root = root_index(owners, owner);
     const std::int64_t panel =
         options.bcast_panel_rows > 0 ? options.bcast_panel_rows : h;
     for (std::int64_t p0 = 0; p0 < h; p0 += panel) {
@@ -53,10 +59,10 @@ void emit_line(const partition::PartitionSpec& spec,
       op.rows = std::min(panel, h - p0);
       op.width = w;
       op.bytes = op.rows * w * static_cast<std::int64_t>(sizeof(double));
-      op.owners = owners;
-      op.root = root_index(owners, owner);
+      op.group = group;
+      op.root = root;
       op.owner = owner;
-      plan.comm_ops.push_back(std::move(op));
+      plan.comm_ops.push_back(op);
     }
   }
 }
@@ -128,8 +134,10 @@ ExecutionPlan build_plan(const partition::PartitionSpec& spec,
 
   // Dependency indices for chunk derivation: the last panel of every
   // broadcast A sub-partition, and the k-interval of every B panel.
-  const auto roff = spec.row_offsets();
-  const auto coff = spec.col_offsets();
+  plan.roff = spec.row_offsets();
+  plan.coff = spec.col_offsets();
+  const std::vector<std::int64_t>& roff = plan.roff;
+  const std::vector<std::int64_t>& coff = plan.coff;
   std::map<std::pair<int, int>, int> last_a;
   std::map<int, std::vector<BSpan>> b_spans;
   for (std::size_t i = 0; i < plan.comm_ops.size(); ++i) {

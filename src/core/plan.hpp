@@ -47,9 +47,9 @@ struct CommOp {
   std::int64_t rows = 0;  ///< panel rows (<= sub-partition height)
   std::int64_t width = 0; ///< elements per payload row
   std::int64_t bytes = 0; ///< rows * width * sizeof(double)
-  std::vector<int> owners;  ///< subgroup members (world ranks, ascending)
-  int root = 0;             ///< index of the owner within `owners`
-  int owner = 0;            ///< world rank owning the sub-partition
+  int group = -1;  ///< its line's owner list: ExecutionPlan::groups[group]
+  int root = 0;    ///< index of the owner within that list
+  int owner = 0;   ///< world rank owning the sub-partition
 };
 
 /// Local copy of an owned sub-partition into WA/WB (single-owner row or
@@ -83,6 +83,15 @@ struct ExecutionPlan {
   std::vector<CommOp> comm_ops;  ///< eager global order (A rows, then B cols)
   std::vector<CopyOp> copy_ops;  ///< order-free (no virtual cost)
   std::vector<GemmOp> gemm_ops;  ///< row-major (bi, bj) — the eager order
+  /// One owner list (world ranks, ascending) per broadcasting line — an A
+  /// row or B column with more than one owner — in comm_ops order. Every
+  /// CommOp of a line names the same list, and the task graph registers
+  /// the lists in this order, so graph groups and plan groups coincide.
+  std::vector<std::vector<int>> groups;
+  /// spec.row_offsets() and spec.col_offsets(), kept once per plan for
+  /// every rank that executes it.
+  std::vector<std::int64_t> roff;
+  std::vector<std::int64_t> coff;
 };
 
 /// Derives the plan for `spec` under `options` (panel splitting applies).

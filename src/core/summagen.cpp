@@ -1,7 +1,6 @@
 #include "src/core/summagen.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
 #include <map>
 #include <memory>
@@ -51,11 +50,15 @@ struct SharedSchedule {
 };
 
 /// A process-wide cache entry: the pair plus the key it was built from.
-/// Ranks receive only the SharedSchedule handles — never a copy of the
-/// key's PartitionSpec, which would cost O(p) per rank.
+/// A recovery phase's entry holds the graph pruned by the phase's done
+/// cells (sharing the plan of its layout's unpruned entry), so the ranks
+/// of a phase prune once between them, not once each. Ranks receive only
+/// the SharedSchedule handles — never a copy of the key's PartitionSpec
+/// or done set, which would cost O(p) per rank.
 struct ScheduleEntry {
   partition::PartitionSpec spec;
   std::int64_t panel_rows = 0;
+  std::set<std::pair<int, int>> done;  ///< empty: the unpruned graph
   SharedSchedule schedule;
 };
 
@@ -82,54 +85,89 @@ bool same_layout(const partition::PartitionSpec& a,
          a.subph == b.subph && a.subpw == b.subpw && a.subp == b.subp;
 }
 
-SharedSchedule shared_schedule(const partition::PartitionSpec& spec,
-                               const SummaGenOptions& options) {
-  // bcast_panel_rows is the only option the plan reads (plan.cpp).
-  const std::int64_t panel_rows = options.bcast_panel_rows;
-  std::lock_guard<std::mutex> lock(schedule_mutex());
-  auto& cache = schedule_cache();
-  for (const ScheduleEntry& entry : cache) {
-    if (entry.panel_rows == panel_rows && same_layout(entry.spec, spec)) {
-      util::record_sched_lookup(/*hit=*/true);
-      return entry.schedule;
+/// The cached entry for (spec, panel_rows, done), or null. Caller holds
+/// schedule_mutex().
+const ScheduleEntry* find_entry(const partition::PartitionSpec& spec,
+                                std::int64_t panel_rows,
+                                const std::set<std::pair<int, int>>& done) {
+  for (const ScheduleEntry& entry : schedule_cache()) {
+    if (entry.panel_rows == panel_rows && entry.done == done &&
+        same_layout(entry.spec, spec)) {
+      return &entry;
     }
   }
-  util::record_sched_lookup(/*hit=*/false);
-  ScheduleEntry entry;
-  entry.spec = spec;
-  entry.panel_rows = panel_rows;
-  auto plan = std::make_shared<ExecutionPlan>(build_plan(spec, options));
-  entry.schedule.graph = std::make_shared<const taskgraph::TaskGraph>(
-      taskgraph::build_summagen_graph(spec, *plan));
-  entry.schedule.plan = std::move(plan);
-  // Entries are dropped at the pool's quiescent point (once per run);
-  // recovery phases add one entry per re-partition. The FIFO cap covers
-  // direct summagen_rank callers that never pass a quiescent point —
-  // in-flight shared_ptrs keep evicted entries alive.
-  constexpr std::size_t kMaxEntries = 16;
-  if (cache.size() == kMaxEntries) cache.erase(cache.begin());
-  cache.push_back(std::move(entry));
-  return cache.back().schedule;
+  return nullptr;
 }
 
-/// Per-rank geometry shared by every plan step executor. It holds the
-/// rank's only copy of the row/column offset vectors and, on the numeric
-/// plane, its WA/WB slices of the run's workspace lease (RunStores).
+/// Appends an entry. Caller holds schedule_mutex().
+const ScheduleEntry& insert_entry(ScheduleEntry entry) {
+  // Entries are dropped at the pool's quiescent point (once per run);
+  // recovery phases add up to two entries per re-partition. The FIFO cap
+  // covers direct summagen_rank callers that never pass a quiescent
+  // point — in-flight shared_ptrs keep evicted entries alive.
+  constexpr std::size_t kMaxEntries = 16;
+  auto& cache = schedule_cache();
+  if (cache.size() == kMaxEntries) cache.erase(cache.begin());
+  cache.push_back(std::move(entry));
+  return cache.back();
+}
+
+/// The shared schedule of `spec` under `options`, pruned by `done` (null
+/// or empty: unpruned). The first rank to ask builds it under
+/// schedule_mutex(); every later rank of the run or phase reads the same
+/// immutable copy.
+SharedSchedule shared_schedule(const partition::PartitionSpec& spec,
+                               const SummaGenOptions& options,
+                               const std::set<std::pair<int, int>>* done) {
+  // bcast_panel_rows is the only option the plan reads (plan.cpp).
+  const std::int64_t panel_rows = options.bcast_panel_rows;
+  static const std::set<std::pair<int, int>> kNone;
+  const std::set<std::pair<int, int>>& cells = done != nullptr ? *done : kNone;
+  std::lock_guard<std::mutex> lock(schedule_mutex());
+  if (const ScheduleEntry* hit = find_entry(spec, panel_rows, cells)) {
+    util::record_sched_lookup(/*hit=*/true);
+    return hit->schedule;
+  }
+  util::record_sched_lookup(/*hit=*/false);
+  const ScheduleEntry* base = find_entry(spec, panel_rows, kNone);
+  if (base == nullptr) {
+    ScheduleEntry entry;
+    entry.spec = spec;
+    entry.panel_rows = panel_rows;
+    auto plan = std::make_shared<ExecutionPlan>(build_plan(spec, options));
+    entry.schedule.graph = std::make_shared<const taskgraph::TaskGraph>(
+        taskgraph::build_summagen_graph(spec, *plan));
+    entry.schedule.plan = std::move(plan);
+    base = &insert_entry(std::move(entry));
+  }
+  if (cells.empty()) return base->schedule;
+  ScheduleEntry pruned;
+  pruned.spec = spec;
+  pruned.panel_rows = panel_rows;
+  pruned.done = cells;
+  pruned.schedule.plan = base->schedule.plan;
+  auto graph = std::make_shared<taskgraph::TaskGraph>(*base->schedule.graph);
+  taskgraph::prune_completed(*graph, *pruned.schedule.plan, cells);
+  pruned.schedule.graph = std::move(graph);
+  return insert_entry(std::move(pruned)).schedule;
+}
+
+/// Per-rank geometry shared by every plan step executor: the row/column
+/// offsets the shared plan keeps once and, on the numeric plane, the
+/// rank's WA/WB slices of the run's workspace lease (RunStores).
 struct Frame {
   const partition::PartitionSpec& spec;
   LocalData* data;      ///< nullptr on the modeled plane
   util::MatrixView wa;  ///< my_rows x n workspace (empty on modeled plane)
   util::MatrixView wb;  ///< n x my_cols workspace (empty on modeled plane)
-  std::vector<std::int64_t> roff;
-  std::vector<std::int64_t> coff;
+  const std::vector<std::int64_t>& roff;  ///< ExecutionPlan::roff
+  const std::vector<std::int64_t>& coff;  ///< ExecutionPlan::coff
   std::int64_t wa_base = 0;  ///< first matrix row covered by WA
   std::int64_t wb_base = 0;  ///< first matrix column covered by WB
 
-  Frame(const partition::PartitionSpec& spec_in, LocalData* data_in)
-      : spec(spec_in),
-        data(data_in),
-        roff(spec_in.row_offsets()),
-        coff(spec_in.col_offsets()) {
+  Frame(const partition::PartitionSpec& spec_in, const ExecutionPlan& plan,
+        LocalData* data_in)
+      : spec(spec_in), data(data_in), roff(plan.roff), coff(plan.coff) {
     if (data != nullptr) {
       wa = data->wa();
       wb = data->wb();
@@ -355,24 +393,20 @@ RankReport summagen_rank(sgmpi::Comm& world,
         "workspace was released, or the stores are for another spec)");
   }
   const int rank = world.rank();
-  Frame frame(spec, data);
-
-  RankReport report;
 
   // Fetch the rank-invariant plan + dependency task graph (shared across
-  // ranks — see SharedSchedule) and — on recovery phases — prune a private
-  // copy of the subgraph that already ran. Node ids survive pruning, so
-  // every scheduler remains a legal schedule of the un-run subgraph;
-  // recovery is re-scheduling, not a retry path.
-  const SharedSchedule sched = shared_schedule(spec, options);
+  // ranks — see SharedSchedule); on recovery phases the graph comes
+  // pruned of the subgraph that already ran, once for all ranks of the
+  // phase. Node ids survive pruning, so every scheduler remains a legal
+  // schedule of the un-run subgraph; recovery is re-scheduling, not a
+  // retry path.
+  const SharedSchedule sched =
+      shared_schedule(spec, options, ft != nullptr ? ft->done : nullptr);
   const ExecutionPlan& plan = *sched.plan;
-  taskgraph::TaskGraph pruned;
-  const taskgraph::TaskGraph* graph = sched.graph.get();
-  if (ft != nullptr && ft->done != nullptr && !ft->done->empty()) {
-    pruned = *sched.graph;
-    taskgraph::prune_completed(pruned, plan, *ft->done);
-    graph = &pruned;
-  }
+  const taskgraph::TaskGraph& graph = *sched.graph;
+  Frame frame(spec, plan, data);
+
+  RankReport report;
 
   const double hidden0 = world.clock().hidden_comm_seconds();
 
@@ -396,9 +430,21 @@ RankReport summagen_rank(sgmpi::Comm& world,
     return it->second;
   };
 
-  // Subgroup communicators of posted-but-uncompleted broadcasts, FIFO in
-  // posting order — the executor completes in that same order.
-  std::deque<sgmpi::Comm> posted_groups;
+  // This rank's subgroup communicators, one per owner group it belongs
+  // to, resolved on first use. A rank sits on a handful of row and column
+  // lines, so a linear scan finds the group, and world.subgroup — which
+  // copies, sorts and checks the owner list, then looks it up under the
+  // runtime's lock — runs once per group instead of once per broadcast.
+  std::vector<std::pair<int, sgmpi::Comm>> comms;
+  auto group_comm = [&](const taskgraph::TaskNode& node) -> sgmpi::Comm& {
+    for (auto& [group, comm] : comms) {
+      if (group == node.group) return comm;
+    }
+    comms.emplace_back(node.group,
+                       world.subgroup(plan.groups[static_cast<std::size_t>(
+                           node.group)]));
+    return comms.back().second;
+  };
 
   // Set when the drift detector (ft->on_step) confirms: the rank sheds its
   // remaining compute — no kernel, no clock charge, no completion snapshot
@@ -443,7 +489,7 @@ RankReport summagen_rank(sgmpi::Comm& world,
   };
   hooks.run_comm = [&](const taskgraph::TaskNode& node) {
     const CommOp& op = plan.comm_ops[static_cast<std::size_t>(node.payload)];
-    sgmpi::Comm group = world.subgroup(op.owners);
+    sgmpi::Comm& group = group_comm(node);
     if (frame.data == nullptr) {
       report.mpi_time_s += group.bcast_bytes(nullptr, op.bytes, op.root);
     } else if (op.owner == rank) {
@@ -461,7 +507,7 @@ RankReport summagen_rank(sgmpi::Comm& world,
   };
   hooks.post_comm = [&](const taskgraph::TaskNode& node) {
     const CommOp& op = plan.comm_ops[static_cast<std::size_t>(node.payload)];
-    sgmpi::Comm group = world.subgroup(op.owners);
+    sgmpi::Comm& group = group_comm(node);
     sgmpi::Request request;
     if (frame.data == nullptr) {
       request = group.ibcast_bytes(nullptr, op.bytes, op.root);
@@ -473,19 +519,16 @@ RankReport summagen_rank(sgmpi::Comm& world,
     }
     ++report.bcasts;
     report.bcast_bytes += op.bytes;
-    posted_groups.push_back(std::move(group));
     return request;
   };
-  hooks.complete_comm = [&](const taskgraph::TaskNode& /*node*/,
+  hooks.complete_comm = [&](const taskgraph::TaskNode& node,
                             sgmpi::Request& request) {
-    sgmpi::Comm group = std::move(posted_groups.front());
-    posted_groups.pop_front();
     // The wait itself lands the panel in WA/WB (receivers gather from the
     // root's view, the root stores its own window).
-    report.mpi_time_s += group.wait(request);
+    report.mpi_time_s += group_comm(node).wait(request);
   };
 
-  taskgraph::run_graph(*graph, rank, options.scheduler, options.overlap_depth,
+  taskgraph::run_graph(graph, rank, options.scheduler, options.overlap_depth,
                        hooks);
 
   // With the communication schedule fully executed (no peer is mid-

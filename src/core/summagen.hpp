@@ -103,7 +103,8 @@ struct FtContext {
   /// C sub-partitions already completed by earlier recovery phases. When
   /// non-empty the task graph is pruned (taskgraph::prune_completed):
   /// their DGEMM chunks are dropped, and with them every broadcast/copy
-  /// feeding only finished cells. Node ids — and with them the
+  /// feeding only finished cells. The first rank of a phase prunes; the
+  /// others read the same pruned graph. Node ids — and with them the
   /// chunk->broadcast dependencies — survive pruning, so recovery phases
   /// run under whichever scheduler the caller configured: recovery is
   /// re-scheduling the un-run subgraph, not a bespoke retry path.

@@ -1,9 +1,9 @@
 #include "src/core/taskgraph/executor.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -12,54 +12,65 @@ namespace {
 
 /// Post/complete machinery of the dataflow schedule: this rank's comm
 /// nodes, posted in ascending id up to `window` ahead and completed in the
-/// same order.
+/// same order. Two cursors walk the rank's slice — the next node to post
+/// and the next to complete, each parked on a live comm node or at the
+/// end — and the posted requests wait in a fixed ring of at most
+/// `window` slots.
 class CommPipeline {
  public:
-  CommPipeline(const std::vector<TaskNode>& nodes,
-               const std::vector<int>& mine, int window,
+  CommPipeline(const TaskGraph& graph, std::span<const int> mine, int window,
                const ExecHooks& hooks)
-      : nodes_(nodes),
+      : graph_(graph),
+        mine_(mine),
         hooks_(hooks),
         depth_(window <= 0 ? std::numeric_limits<std::size_t>::max()
-                           : static_cast<std::size_t>(window)) {
-    for (int id : mine) {
-      const TaskNode& n = nodes[static_cast<std::size_t>(id)];
-      if (!n.dropped && n.is_comm()) comms_.push_back(id);
-    }
+                           : static_cast<std::size_t>(window)),
+        ring_(std::max<std::size_t>(1, std::min(depth_, mine.size()))) {
+    next_post_ = next_complete_ = skip(0);
   }
 
-  bool exhausted() const { return next_complete_ >= comms_.size(); }
-  int next_id() const { return comms_[next_complete_]; }
+  bool exhausted() const { return next_complete_ >= mine_.size(); }
+  int next_id() const { return mine_[next_complete_]; }
 
   /// Completes exactly the next comm node in order ("nothing computable —
   /// block on the pipeline head") and returns its id.
   int complete_next() {
-    const int id = comms_[next_complete_];
-    while (next_post_ <= next_complete_) post_one();
+    const int id = mine_[next_complete_];
+    if (pending_ == 0) post_one();
     complete_one();
     top_up();
     return id;
   }
 
   void top_up() {
-    while (next_post_ < comms_.size() && pending_.size() < depth_) {
-      post_one();
-    }
+    while (next_post_ < mine_.size() && pending_ < depth_) post_one();
   }
 
  private:
+  /// First position at or after `i` holding a live comm node.
+  std::size_t skip(std::size_t i) const {
+    while (i < mine_.size()) {
+      const TaskNode& n = graph_.node(mine_[i]);
+      if (!n.dropped && n.is_comm()) break;
+      ++i;
+    }
+    return i;
+  }
+
   void post_one() {
-    const TaskNode& n =
-        nodes_[static_cast<std::size_t>(comms_[next_post_++])];
-    pending_.push_back(hooks_.post_comm ? hooks_.post_comm(n)
-                                        : sgmpi::Request{});
+    const TaskNode& n = graph_.node(mine_[next_post_]);
+    next_post_ = skip(next_post_ + 1);
+    ring_[(head_ + pending_) % ring_.size()] =
+        hooks_.post_comm ? hooks_.post_comm(n) : sgmpi::Request{};
+    ++pending_;
   }
 
   void complete_one() {
-    const TaskNode& n =
-        nodes_[static_cast<std::size_t>(comms_[next_complete_++])];
-    sgmpi::Request r = std::move(pending_.front());
-    pending_.pop_front();
+    const TaskNode& n = graph_.node(mine_[next_complete_]);
+    next_complete_ = skip(next_complete_ + 1);
+    sgmpi::Request r = std::move(ring_[head_]);
+    head_ = (head_ + 1) % ring_.size();
+    --pending_;
     if (hooks_.complete_comm) {
       hooks_.complete_comm(n, r);
     } else {
@@ -67,18 +78,20 @@ class CommPipeline {
     }
   }
 
-  const std::vector<TaskNode>& nodes_;
+  const TaskGraph& graph_;
+  const std::span<const int> mine_;
   const ExecHooks& hooks_;
   const std::size_t depth_;
-  std::vector<int> comms_;
-  std::deque<sgmpi::Request> pending_;
+  std::vector<sgmpi::Request> ring_;
+  std::size_t head_ = 0;     ///< ring slot of the oldest posted request
+  std::size_t pending_ = 0;  ///< posted, not yet completed
   std::size_t next_post_ = 0;
   std::size_t next_complete_ = 0;
 };
 
 void run_program(const TaskGraph& graph, int rank, const ExecHooks& hooks) {
   const auto& nodes = graph.nodes();
-  const std::vector<int>& mine = graph.rank_nodes(rank);
+  const std::span<const int> mine = graph.rank_nodes(rank);
   for (std::size_t i = 0; i < mine.size(); ++i) {
     const TaskNode& n = nodes[static_cast<std::size_t>(mine[i])];
     if (n.dropped) continue;
@@ -107,8 +120,8 @@ void run_program(const TaskGraph& graph, int rank, const ExecHooks& hooks) {
 void run_dataflow(const TaskGraph& graph, int rank, int window,
                   const ExecHooks& hooks) {
   const auto& nodes = graph.nodes();
-  const std::vector<int>& mine = graph.rank_nodes(rank);
-  CommPipeline pipeline(nodes, mine, window, hooks);
+  const std::span<const int> mine = graph.rank_nodes(rank);
+  CommPipeline pipeline(graph, mine, window, hooks);
 
   // Per-rank state is indexed by a node's slot in `mine` — sized by the
   // nodes this rank observes (its own local nodes and the comm nodes it
@@ -135,14 +148,15 @@ void run_dataflow(const TaskGraph& graph, int rank, int window,
     const TaskNode& n = nodes[static_cast<std::size_t>(mine[i])];
     if (!my_local(n)) continue;
     ++nlocal;
+    const auto preds = graph.preds(n.id);
     npred[i] = static_cast<int>(
-        std::count_if(n.preds.begin(), n.preds.end(), observed));
+        std::count_if(preds.begin(), preds.end(), observed));
     if (npred[i] == 0) ready.insert(n.id);
   }
 
   auto finish = [&](int id) {
     done[slot(id)] = 1;
-    for (int s : nodes[static_cast<std::size_t>(id)].succs) {
+    for (int s : graph.succs(id)) {
       if (!my_local(nodes[static_cast<std::size_t>(s)])) continue;
       if (--npred[slot(s)] == 0) ready.insert(s);
     }
@@ -167,9 +181,7 @@ void run_dataflow(const TaskGraph& graph, int rank, int window,
     // whose comm nodes have local predecessors (workspace write-after-read
     // in the step chains): completing such a node early would corrupt the
     // workspace a pending GEMM still reads.
-    const TaskNode& head =
-        nodes[static_cast<std::size_t>(pipeline.next_id())];
-    for (int p : head.preds) {
+    for (int p : graph.preds(pipeline.next_id())) {
       if (my_local(nodes[static_cast<std::size_t>(p)]) && !done[slot(p)]) {
         throw std::logic_error(
             "taskgraph: comm node ordered before its local predecessor");

@@ -47,9 +47,12 @@ std::size_t round_up_pages(std::size_t bytes) {
 }
 }  // namespace
 
+struct FiberHost::HostContext {
+  ucontext_t ctx{};
+};
+
 struct FiberHost::Fiber {
   ucontext_t ctx{};
-  ucontext_t return_ctx{};  ///< where the scheduler resumes when we yield
   void* mapping = nullptr;  ///< guard page + stack
   std::size_t mapping_bytes = 0;
   void* stack = nullptr;  ///< usable stack (above the guard page)
@@ -69,7 +72,8 @@ struct FiberHost::Fiber {
   }
 };
 
-FiberHost::FiberHost(int nfibers, std::size_t stack_bytes) {
+FiberHost::FiberHost(int nfibers, std::size_t stack_bytes)
+    : host_ctx_(std::make_unique<HostContext>()) {
   if (nfibers < 0) {
     throw std::invalid_argument("sgmpi: FiberHost with negative fiber count");
   }
@@ -142,7 +146,7 @@ void FiberHost::switch_to(int index) {
 #if defined(SUMMAGEN_ASAN_FIBERS)
   __sanitizer_start_switch_fiber(&host_fake_stack_, f.stack, f.stack_bytes);
 #endif
-  ::swapcontext(&f.return_ctx, &f.ctx);
+  ::swapcontext(&host_ctx_->ctx, &f.ctx);
 #if defined(SUMMAGEN_ASAN_FIBERS)
   __sanitizer_finish_switch_fiber(host_fake_stack_, nullptr, nullptr);
 #endif
@@ -158,7 +162,7 @@ void FiberHost::switch_back(Fiber& fiber, bool dying) {
   __sanitizer_start_switch_fiber(dying ? nullptr : &fiber.fake_stack,
                                  host_stack_bottom_, host_stack_size_);
 #endif
-  ::swapcontext(&fiber.ctx, &fiber.return_ctx);
+  ::swapcontext(&fiber.ctx, &host_ctx_->ctx);
 #if defined(SUMMAGEN_ASAN_FIBERS)
   __sanitizer_finish_switch_fiber(fiber.fake_stack, nullptr, nullptr);
 #endif

@@ -15,6 +15,8 @@
 // Stacks are mmap'd lazily-committed with a PROT_NONE guard page below, so
 // p=4096 fibers reserve address space but only commit the pages each rank
 // actually touches — the RSS that matters for the large-p smoke budget.
+// Every fiber yields to the same scheduler loop, so the host keeps one
+// saved scheduler context for all of them; a fiber keeps only its own.
 #pragma once
 
 #include <cstddef>
@@ -63,12 +65,15 @@ class FiberHost {
 
  private:
   struct Fiber;
+  struct HostContext;
   static void trampoline();
   void switch_to(int index);
   void switch_back(Fiber& fiber, bool dying);
 
   std::size_t stack_bytes_ = 0;
   std::vector<std::unique_ptr<Fiber>> fibers_;
+  /// The scheduler's saved context: where every yielding fiber resumes it.
+  std::unique_ptr<HostContext> host_ctx_;
   std::vector<std::exception_ptr> errors_;
   const std::function<void(int)>* body_ = nullptr;
   int running_ = -1;   ///< fiber index executing now, -1 = scheduler

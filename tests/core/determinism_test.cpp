@@ -119,5 +119,22 @@ TEST(RepeatedClusterRuns, MultiNodeTimelineIsBitIdentical) {
   expect_repeatable(config, "nrrp p=16");
 }
 
+// A crash near the end of a 64-rank NRRP dataflow run (fault-free 12.2 s):
+// the survivors re-schedule a heavily pruned graph, which the ranks of the
+// recovery phase share.
+TEST(RepeatedClusterRuns, LateCrashTimelineIsBitIdentical) {
+  ExperimentConfig config;
+  config.platform =
+      device::Platform::cluster(device::Platform::homogeneous(4), 16);
+  config.n = 30720;
+  config.summagen_options.scheduler = Scheduler::kTaskGraph;
+  config.preset_spec = partition::nrrp_partition(
+      config.n, partition::partition_areas_cpm(config.n * config.n,
+                                               std::vector<double>(64, 1.0)));
+  config.faults = sgmpi::parse_fault_plan("crash@11.5:3");
+  ASSERT_EQ(core::run_pmm(config).recoveries, 1);
+  expect_repeatable(config, "nrrp p=64 crash@11.5:3");
+}
+
 }  // namespace
 }  // namespace summagen

@@ -3,11 +3,15 @@
 #include "src/core/recovery.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <numeric>
 #include <string>
+#include <vector>
 
 #include "src/core/runner.hpp"
+#include "src/partition/areas.hpp"
+#include "src/partition/nrrp.hpp"
 
 namespace summagen::core {
 namespace {
@@ -211,6 +215,36 @@ TEST(FaultRecovery, EveryFaultKindChangesTheRun) {
           << " recoveries=" << res.recoveries;
     }
   }
+}
+
+long peak_rss_kib() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
+}
+
+// A late crash on a 256-rank NRRP layout (64 four-rank nodes, modeled
+// plane, dataflow scheduler): the recovery phase's ranks must share one
+// pruned task graph. A private pruned copy per survivor costs p graphs —
+// about 220 MiB more peak RSS here — which the 64 MiB bound catches. The
+// fault-free run goes first, so its own peak (shared graph, fibers) is
+// already in the baseline.
+TEST(FaultRecovery, LateCrashSharesOnePrunedGraph) {
+  ExperimentConfig config;
+  config.platform =
+      device::Platform::cluster(device::Platform::homogeneous(4), 64);
+  config.n = 30720;
+  config.summagen_options.scheduler = Scheduler::kTaskGraph;
+  config.preset_spec = partition::nrrp_partition(
+      config.n, partition::partition_areas_cpm(config.n * config.n,
+                                               std::vector<double>(256, 1.0)));
+  ASSERT_GT(run_pmm(config).exec_time_s, 4.0);  // 4.27 s fault-free
+  const long before_kib = peak_rss_kib();
+  config.faults = sgmpi::parse_fault_plan("crash@4.0:3");
+  const auto res = run_pmm(config);
+  EXPECT_EQ(res.recoveries, 1);
+  EXPECT_LT(peak_rss_kib() - before_kib, 64L * 1024)
+      << "peak RSS grew across the crash run";
 }
 
 TEST(FaultRecovery, NeverTriggeringPlanStillCompletes) {

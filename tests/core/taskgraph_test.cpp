@@ -11,7 +11,9 @@
 //    identical counters on the chain graphs (SUMMA and 2.5D);
 //  * the per-rank index lists exactly the nodes a rank observes, and the
 //    executor walking it makes the same hook calls, in the same order, as
-//    a whole-graph scan.
+//    a whole-graph scan;
+//  * the compact representation: nodes are small heap-free records, and
+//    sealing keeps every edge list in add_dep order.
 #include "src/core/taskgraph/taskgraph.hpp"
 
 #include <gtest/gtest.h>
@@ -22,7 +24,9 @@
 #include <limits>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -43,6 +47,17 @@ using taskgraph::NodeKind;
 using taskgraph::TaskGraph;
 using taskgraph::TaskNode;
 
+// Tripwire: a node is a plain record of at most 24 bytes. Edges and owner
+// lists live in the graph's CSR arrays; a heap member here would cost the
+// p=2048 graph tens of MiB again.
+static_assert(sizeof(TaskNode) <= 24, "TaskNode grew past 24 bytes");
+static_assert(std::is_trivially_copyable_v<TaskNode>,
+              "TaskNode must stay a heap-free record");
+
+std::vector<int> to_vector(std::span<const int> ids) {
+  return {ids.begin(), ids.end()};
+}
+
 partition::PartitionSpec shape_spec(partition::Shape shape,
                                     std::int64_t n = 120) {
   const auto areas = partition::partition_areas_cpm(n * n, {1.0, 2.0, 0.9});
@@ -58,7 +73,7 @@ std::vector<partition::Shape> all_shapes() {
 /// Largest comm-node id among a node's predecessors, -1 when none.
 int max_comm_pred(const TaskGraph& g, const TaskNode& n) {
   int dep = -1;
-  for (int p : n.preds) {
+  for (int p : g.preds(n.id)) {
     if (g.node(p).is_comm()) dep = std::max(dep, p);
   }
   return dep;
@@ -79,16 +94,23 @@ TEST(SummagenGraph, NodeInventoryMatchesPlan) {
 
     // Construction order is copies, comms, chunks — and the comm nodes
     // preserve the plan's eager global (collective) order: node
-    // |copy_ops| + i is plan comm op i, over the same subgroup.
+    // |copy_ops| + i is plan comm op i, over the same subgroup: its
+    // line's owners, as the spec lists them.
     for (std::size_t i = 0; i < plan.copy_ops.size(); ++i) {
       EXPECT_EQ(g.node(static_cast<int>(i)).kind, NodeKind::kCopy);
     }
+    ASSERT_EQ(g.num_groups(), plan.groups.size());
     for (std::size_t i = 0; i < plan.comm_ops.size(); ++i) {
+      const CommOp& op = plan.comm_ops[i];
       const TaskNode& n =
           g.node(static_cast<int>(plan.copy_ops.size() + i));
       EXPECT_EQ(n.kind, NodeKind::kBcast);
       EXPECT_EQ(n.payload, static_cast<int>(i));
-      EXPECT_EQ(n.owners, plan.comm_ops[i].owners);
+      EXPECT_EQ(n.group, op.group);
+      EXPECT_EQ(to_vector(g.owners(n.id)),
+                op.is_a ? spec.ranks_in_row(op.bi) : spec.ranks_in_col(op.bj));
+      EXPECT_EQ(to_vector(g.owners(n.id))[static_cast<std::size_t>(op.root)],
+                op.owner);
     }
   }
 }
@@ -103,8 +125,9 @@ TEST(SummagenGraph, EveryBroadcastFeedsAGemmChunk) {
       const TaskGraph g = taskgraph::build_summagen_graph(spec, plan);
       for (const TaskNode& n : g.nodes()) {
         if (n.kind != NodeKind::kBcast) continue;
+        const auto succs = g.succs(n.id);
         const bool feeds_gemm = std::any_of(
-            n.succs.begin(), n.succs.end(),
+            succs.begin(), succs.end(),
             [&](int s) { return g.node(s).kind == NodeKind::kGemm; });
         EXPECT_TRUE(feeds_gemm)
             << partition::shape_name(shape) << " bcast node " << n.id
@@ -140,7 +163,7 @@ TEST(SummagenGraph, ChunkDepsReproducePlanPrefixes) {
       }
       if (n.aux > 0) {
         const TaskNode* prev = nullptr;
-        for (int p : n.preds) {
+        for (int p : g.preds(n.id)) {
           const TaskNode& pn = g.node(p);
           if (pn.kind == NodeKind::kGemm && pn.payload == n.payload) {
             prev = &pn;
@@ -208,17 +231,56 @@ TEST(SummagenGraph, PruneMatchesRowColumnLiveness) {
 }
 
 TEST(TaskGraphInvariants, RejectsBadEdgesAndCycles) {
-  TaskGraph g;
-  const int a = g.add_local(NodeKind::kCopy, 0, 0);
-  const int b = g.add_local(NodeKind::kGemm, 0, 1);
-  g.add_dep(a, b);
-  EXPECT_THROW(g.add_dep(a, b), std::logic_error);   // duplicate
-  EXPECT_THROW(g.add_dep(a, a), std::logic_error);   // self edge
-  EXPECT_THROW(g.add_dep(a, 99), std::logic_error);  // unknown node
+  const auto two_nodes = [] {
+    TaskGraph g;
+    g.add_local(NodeKind::kCopy, 0, 0);
+    g.add_local(NodeKind::kGemm, 0, 1);
+    return g;
+  };
+  // Self edges and unknown endpoints throw at add_dep; a duplicate edge
+  // throws at seal(), before any executor can see the graph.
+  TaskGraph g = two_nodes();
+  g.add_dep(0, 1);
+  EXPECT_THROW(g.add_dep(0, 0), std::logic_error);   // self edge
+  EXPECT_THROW(g.add_dep(0, 99), std::logic_error);  // unknown node
+  TaskGraph dup = g;
+  dup.add_dep(0, 1);
+  EXPECT_THROW(dup.seal(), std::logic_error);  // duplicate
+  EXPECT_THROW(taskgraph::run_graph(dup, 0, Scheduler::kEager, 0,
+                                    taskgraph::ExecHooks{
+                                        [](const TaskNode&) {},
+                                        [](const TaskNode&) {}, {}, {}, {}}),
+               std::logic_error);  // an unsealed graph never executes
+  g.seal();
   EXPECT_NO_THROW(g.validate());
-  g.add_dep(b, a);  // structurally fine, semantically a cycle
-  EXPECT_THROW(g.validate(), std::logic_error);
-  EXPECT_THROW(g.add_comm(NodeKind::kBcast, {}, 0), std::logic_error);
+  EXPECT_THROW(g.add_dep(1, 0), std::logic_error);  // sealed: immutable
+  TaskGraph cycle = two_nodes();
+  cycle.add_dep(0, 1);
+  cycle.add_dep(1, 0);  // structurally fine, semantically a cycle
+  cycle.seal();
+  EXPECT_THROW(cycle.validate(), std::logic_error);
+  TaskGraph comm;
+  EXPECT_THROW(comm.add_group(std::vector<int>{}), std::logic_error);
+  EXPECT_THROW(comm.add_comm(NodeKind::kBcast, 0, 0), std::logic_error);
+}
+
+TEST(TaskGraph, SealKeepsInsertionOrder) {
+  TaskGraph g;
+  for (int i = 0; i < 5; ++i) g.add_local(NodeKind::kGemm, 0, i);
+  g.add_dep(3, 4);
+  g.add_dep(0, 4);
+  g.add_dep(0, 3);
+  g.add_dep(2, 4);
+  g.add_dep(0, 1);
+  g.add_dep(1, 4);
+  g.add_dep(0, 2);
+  g.seal();
+  EXPECT_EQ(to_vector(g.preds(4)), (std::vector<int>{3, 0, 2, 1}));
+  EXPECT_EQ(to_vector(g.succs(0)), (std::vector<int>{4, 3, 1, 2}));
+  EXPECT_EQ(to_vector(g.preds(3)), (std::vector<int>{0}));
+  EXPECT_TRUE(g.preds(0).empty());
+  EXPECT_TRUE(g.succs(4).empty());
+  EXPECT_NO_THROW(g.validate());
 }
 
 TEST(StepChainGraph, SummaShape) {
@@ -231,21 +293,23 @@ TEST(StepChainGraph, SummaShape) {
     const TaskNode& b = g.node(3 * s + 1);
     const TaskNode& gm = g.node(3 * s + 2);
     EXPECT_EQ(a.kind, NodeKind::kBcast);
-    EXPECT_EQ(a.owners, row);
-    EXPECT_EQ(b.owners, col);
+    EXPECT_EQ(to_vector(g.owners(a.id)), row);
+    EXPECT_EQ(to_vector(g.owners(b.id)), col);
     EXPECT_EQ(gm.kind, NodeKind::kGemm);
     EXPECT_EQ(a.payload, s);
     EXPECT_EQ(gm.payload, s);
     // The GEMM reads both panels; the next step's panels write-after-read
     // the shared workspaces, so they wait for this GEMM.
-    std::vector<int> preds = gm.preds;
+    std::vector<int> preds = to_vector(g.preds(gm.id));
     std::sort(preds.begin(), preds.end());
     if (s == 0) {
       EXPECT_EQ(preds, (std::vector<int>{a.id, b.id}));
     } else {
       EXPECT_EQ(preds, (std::vector<int>{g.node(3 * s - 1).id, a.id, b.id}));
-      EXPECT_TRUE(std::count(a.preds.begin(), a.preds.end(), 3 * s - 1));
-      EXPECT_TRUE(std::count(b.preds.begin(), b.preds.end(), 3 * s - 1));
+      const auto a_preds = g.preds(a.id);
+      const auto b_preds = g.preds(b.id);
+      EXPECT_TRUE(std::count(a_preds.begin(), a_preds.end(), 3 * s - 1));
+      EXPECT_TRUE(std::count(b_preds.begin(), b_preds.end(), 3 * s - 1));
     }
   }
 }
@@ -274,23 +338,25 @@ TEST(StepChainGraph, Summa25dAddsReplicationAndReduction) {
   const TaskNode& red = g.node(static_cast<int>(g.size()) - 1);
   EXPECT_EQ(rep_a.kind, NodeKind::kBcast);
   EXPECT_EQ(rep_a.payload, -1);
-  EXPECT_EQ(rep_a.owners, stack);
+  EXPECT_EQ(to_vector(g.owners(rep_a.id)), stack);
   EXPECT_EQ(rep_b.payload, -1);
   EXPECT_EQ(red.kind, NodeKind::kReduce);
   EXPECT_EQ(red.payload, -2);
-  EXPECT_EQ(red.owners, stack);
+  EXPECT_EQ(to_vector(g.owners(red.id)), stack);
   // Depth-communicator collective order: A replication, B replication,
   // then (after the last GEMM) the reduction.
-  EXPECT_EQ(rep_a.succs.front(), rep_b.id);
-  EXPECT_TRUE(std::count(rep_b.succs.begin(), rep_b.succs.end(), 3));
-  ASSERT_EQ(red.preds.size(), 1u);
-  EXPECT_EQ(g.node(red.preds.front()).kind, NodeKind::kGemm);
-  EXPECT_EQ(g.node(red.preds.front()).payload, 1);
+  EXPECT_EQ(g.succs(rep_a.id).front(), rep_b.id);
+  const auto rep_b_succs = g.succs(rep_b.id);
+  EXPECT_TRUE(std::count(rep_b_succs.begin(), rep_b_succs.end(), 3));
+  ASSERT_EQ(g.preds(red.id).size(), 1u);
+  EXPECT_EQ(g.node(g.preds(red.id).front()).kind, NodeKind::kGemm);
+  EXPECT_EQ(g.node(g.preds(red.id).front()).payload, 1);
 }
 
-bool observes(const TaskNode& n, int rank) {
-  return n.owner == rank || std::find(n.owners.begin(), n.owners.end(),
-                                      rank) != n.owners.end();
+bool observes(const TaskGraph& g, const TaskNode& n, int rank) {
+  const auto owners = g.owners(n.id);
+  return n.owner == rank ||
+         std::find(owners.begin(), owners.end(), rank) != owners.end();
 }
 
 /// Every world rank named by a node, plus one rank named by none.
@@ -298,7 +364,8 @@ std::vector<int> graph_ranks(const TaskGraph& g) {
   std::set<int> ranks;
   for (const TaskNode& n : g.nodes()) {
     if (n.is_comm()) {
-      ranks.insert(n.owners.begin(), n.owners.end());
+      const auto owners = g.owners(n.id);
+      ranks.insert(owners.begin(), owners.end());
     } else {
       ranks.insert(n.owner);
     }
@@ -358,9 +425,9 @@ TEST(RankIndex, EqualsBruteForceFilter) {
     for (int r : graph_ranks(g)) {
       std::vector<int> expect;
       for (const TaskNode& n : g.nodes()) {
-        if (observes(n, r)) expect.push_back(n.id);
+        if (observes(g, n, r)) expect.push_back(n.id);
       }
-      const std::vector<int>& got = g.rank_nodes(r);
+      const std::vector<int> got = to_vector(g.rank_nodes(r));
       EXPECT_EQ(got, expect) << ng.name << " rank " << r;
       EXPECT_EQ(std::adjacent_find(got.begin(), got.end(),
                                    std::greater_equal<int>()),
@@ -371,12 +438,16 @@ TEST(RankIndex, EqualsBruteForceFilter) {
 }
 
 TEST(RankIndex, ValidateRejectsUnsortedOwners) {
+  // Owner lists are checked where they enter the graph: add_group, before
+  // any comm node can name them or the rank index can list them.
   TaskGraph g;
-  g.add_comm(NodeKind::kBcast, {2, 0}, 0);
-  EXPECT_THROW(g.validate(), std::logic_error);
-  TaskGraph dup;
-  dup.add_comm(NodeKind::kBcast, {1, 1}, 0);
-  EXPECT_THROW(dup.validate(), std::logic_error);
+  EXPECT_THROW(g.add_group(std::vector<int>{2, 0}), std::logic_error);
+  EXPECT_THROW(g.add_group(std::vector<int>{1, 1}), std::logic_error);
+  EXPECT_EQ(g.num_groups(), 0u);
+  const int ok = g.add_group(std::vector<int>{0, 2});
+  g.add_comm(NodeKind::kBcast, ok, 0);
+  g.seal();
+  EXPECT_NO_THROW(g.validate());
 }
 
 /// The whole-graph scan the rank index replaced, kept as the schedule
@@ -384,9 +455,9 @@ TEST(RankIndex, ValidateRejectsUnsortedOwners) {
 void reference_run(const TaskGraph& graph, int rank, Scheduler schedule,
                    int window, const taskgraph::ExecHooks& hooks) {
   const auto& nodes = graph.nodes();
-  const auto member = [rank](const TaskNode& n) {
-    return std::find(n.owners.begin(), n.owners.end(), rank) !=
-           n.owners.end();
+  const auto member = [&graph, rank](const TaskNode& n) {
+    const auto owners = graph.owners(n.id);
+    return std::find(owners.begin(), owners.end(), rank) != owners.end();
   };
   if (schedule == Scheduler::kEager) {
     for (std::size_t id = 0; id < nodes.size(); ++id) {
@@ -451,7 +522,7 @@ void reference_run(const TaskGraph& graph, int rank, Scheduler schedule,
     if (n.dropped || n.is_comm() || n.owner != rank) continue;
     ++nlocal;
     int cnt = 0;
-    for (int p : n.preds) {
+    for (int p : graph.preds(n.id)) {
       const TaskNode& pn = nodes[static_cast<std::size_t>(p)];
       if (pn.dropped) continue;
       if (pn.is_comm() ? member(pn) : pn.owner == rank) ++cnt;
@@ -460,7 +531,7 @@ void reference_run(const TaskGraph& graph, int rank, Scheduler schedule,
     if (cnt == 0) ready.insert(n.id);
   }
   const auto finish = [&](int id) {
-    for (int s : nodes[static_cast<std::size_t>(id)].succs) {
+    for (int s : graph.succs(id)) {
       const TaskNode& sn = nodes[static_cast<std::size_t>(s)];
       if (sn.dropped || sn.is_comm() || sn.owner != rank) continue;
       if (--npred[static_cast<std::size_t>(s)] == 0) ready.insert(s);
