@@ -1,7 +1,7 @@
 // Extension bench: 2.5D replication vs a flat SUMMA grid at equal
 // processor count (paper Section III-D's communication-optimal frontier).
 //
-// 256 homogeneous processors (modeled plane; ranks are cheap threads)
+// 256 homogeneous processors (modeled plane; ranks are cheap fibers)
 // arranged either as a 16x16 SUMMA grid (c=1) or as 8x8 grids stacked
 // c=4 deep. The 2.5D trade: each rank's panel broadcast traffic drops
 // ~c-fold, paid for with one block replication and one C reduction. The

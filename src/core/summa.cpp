@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "src/blas/gemm.hpp"
 #include "src/core/panel_bcast.hpp"
-#include "src/core/taskgraph/executor.hpp"
-#include "src/core/taskgraph/taskgraph.hpp"
 #include "src/util/buffer_pool.hpp"
 #include "src/util/matrix_view.hpp"
 
@@ -92,59 +92,35 @@ SummaReport summa_rank(sgmpi::Comm& world, std::int64_t n,
   }
 
   SummaReport report;
-
-  // The step chain as a task graph: per step an A panel node, a B panel
-  // node, and the GEMM reading both, with write-after-read edges back to
-  // the shared WA/WB workspaces. Every rank builds its own (deterministic)
-  // graph, so the comm nodes on the row/column communicators appear in the
-  // same order on all members.
-  const int nsteps = static_cast<int>((n + config.panel - 1) / config.panel);
-  const taskgraph::TaskGraph graph = taskgraph::build_summa_graph(
-      nsteps, rank, row_members, col_members);
-
-  // A panel (aux 0) or B panel (aux 1) of step `payload` — a kBcast node
-  // on a non-trivial axis, a kPack (pure local landing) when the axis has
-  // one rank. bcast_k_panel handles both: parts == 1 degenerates to the
-  // local copy with no broadcasts counted.
-  auto exec_panel = [&](const taskgraph::TaskNode& node) {
-    const std::int64_t k0 = node.payload * config.panel;
-    const std::int64_t bcur = std::min(config.panel, n - k0);
-    PanelBcastStats stats;
-    if (node.aux == 0) {
-      util::MatrixView wa;
-      util::ConstMatrixView a_block;
-      if (data != nullptr) {
-        wa = util::MatrixView(wa_store.data(), my_rows, bcur, bcur);
-        a_block = data->a_block();
-      }
-      stats = bcast_k_panel(row, PanelAxis::kA, n, config.pc, gj, my_rows,
-                            k0, bcur, a_block, wa);
-    } else {
-      util::MatrixView wb;
-      util::ConstMatrixView b_block;
-      if (data != nullptr) {
-        wb = util::MatrixView(wb_store.data(), bcur, my_cols, my_cols);
-        b_block = data->b_block();
-      }
-      stats = bcast_k_panel(col, PanelAxis::kB, n, config.pr, gi, my_cols,
-                            k0, bcur, b_block, wb);
-    }
+  const auto count = [&report](const PanelBcastStats& stats) {
     report.mpi_time_s += stats.mpi_time_s;
     report.bcasts += stats.bcasts;
     report.bcast_bytes += stats.bytes;
   };
-
-  // Rank-b update of my C block (step `payload`).
-  auto exec_step_gemm = [&](const taskgraph::TaskNode& node) {
-    const std::int64_t k0 = node.payload * config.panel;
+  for (std::int64_t k0 = 0; k0 < n; k0 += config.panel) {
     const std::int64_t bcur = std::min(config.panel, n - k0);
+    util::MatrixView wa, wb;
+    util::ConstMatrixView a_block, b_block;
+    if (data != nullptr) {
+      wa = util::MatrixView(wa_store.data(), my_rows, bcur, bcur);
+      wb = util::MatrixView(wb_store.data(), bcur, my_cols, my_cols);
+      a_block = data->a_block();
+      b_block = data->b_block();
+    }
+    // The A panel along my grid row, then the B panel down my grid column.
+    // On a one-rank axis bcast_k_panel is the local copy alone, with no
+    // broadcast counted.
+    count(bcast_k_panel(row, PanelAxis::kA, n, config.pc, gj, my_rows, k0,
+                        bcur, a_block, wa));
+    count(bcast_k_panel(col, PanelAxis::kB, n, config.pr, gi, my_cols, k0,
+                        bcur, b_block, wb));
+
+    // Rank-b update of my C block.
     ++report.steps;
     device::KernelCost cost;
     if (data == nullptr) {
       cost = ap.kernel_cost(my_rows, my_cols, bcur, contended);
     } else {
-      const util::MatrixView wa(wa_store.data(), my_rows, bcur, bcur);
-      const util::MatrixView wb(wb_store.data(), bcur, my_cols, my_cols);
       cost = ap.run_gemm(my_rows, my_cols, bcur, wa.data(), bcur, wb.data(),
                          my_cols, data->c_block().data(), my_cols, contended);
     }
@@ -161,18 +137,7 @@ SummaReport summa_rank(sgmpi::Comm& world, std::int64_t n,
       clk.advance_compute(cost.transfer_s);
     }
     report.flops += blas::gemm_flops(my_rows, my_cols, bcur);
-  };
-
-  taskgraph::ExecHooks hooks;
-  hooks.run_comm = exec_panel;
-  hooks.run_local = [&](const taskgraph::TaskNode& node) {
-    if (node.kind == taskgraph::NodeKind::kPack) {
-      exec_panel(node);
-    } else {
-      exec_step_gemm(node);
-    }
-  };
-  taskgraph::run_graph(graph, rank, config.scheduler, /*window=*/0, hooks);
+  }
   return report;
 }
 

@@ -8,7 +8,10 @@
 //  * computation proceeds in panels of width b along the k dimension: the
 //    owner column broadcasts its A panel along each processor row, the
 //    owner row broadcasts its B panel down each processor column, then
-//    every processor performs a rank-b update of its C block;
+//    every processor performs a rank-b update of its C block. summa_rank
+//    runs this loop in program order: each step's broadcasts overwrite
+//    the panel workspaces the previous update read, so there is no other
+//    order to schedule;
 //  * like SummaGen, it runs on the numeric plane (real arithmetic,
 //    verifiable) or the modeled plane (virtual time only).
 //
@@ -19,7 +22,6 @@
 
 #include <cstdint>
 
-#include "src/core/summagen.hpp"
 #include "src/device/device.hpp"
 #include "src/mpi/mpi.hpp"
 #include "src/util/matrix.hpp"
@@ -31,11 +33,6 @@ struct SummaConfig {
   int pr = 2;               ///< processor grid rows
   int pc = 2;               ///< processor grid columns
   std::int64_t panel = 256; ///< k-panel width b
-  /// Which schedule executes the step task graph. SUMMA's graph is a
-  /// chain (panel workspaces are reused across steps), so every schedule
-  /// degenerates to the program order: results, counters, and virtual
-  /// timing are identical across schedulers — asserted by tests.
-  Scheduler scheduler = Scheduler::kEager;
 };
 
 /// Block extents of rank (i, j) in an n x n matrix over a pr x pc grid

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "src/blas/gemm.hpp"
 #include "src/core/panel_bcast.hpp"
-#include "src/core/taskgraph/executor.hpp"
-#include "src/core/taskgraph/taskgraph.hpp"
 #include "src/util/buffer_pool.hpp"
 #include "src/util/matrix_view.hpp"
 
@@ -94,9 +94,8 @@ Summa25dReport summa25d_rank(sgmpi::Comm& world, std::int64_t n,
 
   Summa25dReport report;
 
-  // Grid communicators. The depth communicator threads the replication
-  // (step 1) and reduction (step 3) nodes; subgroups are cached by member
-  // list, so hoisting its creation out of the step scopes is free.
+  // Grid communicators: the depth communicator stacks my (i, j) block
+  // across the layers; row and column are my layer's SUMMA grid lines.
   std::vector<int> stack, row_members, col_members;
   if (config.c > 1) {
     for (int l = 0; l < config.c; ++l) stack.push_back(l * per_layer + within);
@@ -111,17 +110,6 @@ Summa25dReport summa25d_rank(sgmpi::Comm& world, std::int64_t n,
   sgmpi::Comm row = config.q > 1 ? world.subgroup(row_members) : world;
   sgmpi::Comm col = config.q > 1 ? world.subgroup(col_members) : world;
 
-  const std::int64_t k_lo = balanced_part_offset(n, config.c, layer);
-  const std::int64_t k_hi = balanced_part_offset(n, config.c, layer + 1);
-  const int nsteps =
-      static_cast<int>((k_hi - k_lo + config.panel - 1) / config.panel);
-
-  // The full 2.5D dataflow: replication -> step chain -> reduction. Like
-  // plain SUMMA this is a chain per rank, so every schedule replays it in
-  // program order.
-  const taskgraph::TaskGraph graph = taskgraph::build_summa25d_graph(
-      nsteps, rank, row_members, col_members, stack);
-
   // Panel workspaces (numeric plane only), leased from the shared pool;
   // not zeroed — every step fully overwrites what the GEMM reads.
   util::PooledBuffer wa_store, wb_store;
@@ -130,64 +118,54 @@ Summa25dReport summa25d_rank(sgmpi::Comm& world, std::int64_t n,
     wb_store = util::BufferPool::instance().acquire(my.cols * config.panel);
   }
 
-  // --- Step 1 bodies: replicate an A/B block from layer 0 down the stack
-  // (payload -1, aux 0 = A / 1 = B) ---
-  auto exec_replicate = [&](const taskgraph::TaskNode& node) {
-    const std::int64_t bytes =
-        my.rows * my.cols * static_cast<std::int64_t>(sizeof(double));
-    if (data != nullptr) {
-      util::Matrix& block =
-          node.aux == 0 ? data->a_block() : data->b_block();
-      report.mpi_time_s += depth.bcast(block.data(), my.rows * my.cols, 0);
-    } else {
-      report.mpi_time_s += depth.bcast_bytes(nullptr, bytes, 0);
-    }
-    report.replication_bytes += bytes;
-    report.bcasts += 1;
-  };
+  const std::int64_t block_count = my.rows * my.cols;
+  const std::int64_t block_bytes =
+      block_count * static_cast<std::int64_t>(sizeof(double));
 
-  // --- Step 2 bodies: A/B panel of step `payload` along my layer row /
-  // down my layer column; segments split at the q-grid block-ownership
-  // boundaries over the full k axis ---
-  auto exec_panel = [&](const taskgraph::TaskNode& node) {
-    const std::int64_t k0 = k_lo + node.payload * config.panel;
-    const std::int64_t bcur = std::min(config.panel, k_hi - k0);
-    PanelBcastStats stats;
-    if (node.aux == 0) {
-      util::MatrixView wa;
-      util::ConstMatrixView a_block;
+  // 1. Replication: A, then B, from layer 0 down the stack.
+  if (config.c > 1) {
+    for (const bool is_a : {true, false}) {
+      double* block = nullptr;
       if (data != nullptr) {
-        wa = util::MatrixView(wa_store.data(), my.rows, bcur, bcur);
-        a_block = data->a_block();
+        block = is_a ? data->a_block().data() : data->b_block().data();
       }
-      stats = bcast_k_panel(row, PanelAxis::kA, n, config.q, gj, my.rows,
-                            k0, bcur, a_block, wa);
-    } else {
-      util::MatrixView wb;
-      util::ConstMatrixView b_block;
-      if (data != nullptr) {
-        wb = util::MatrixView(wb_store.data(), bcur, my.cols, my.cols);
-        b_block = data->b_block();
-      }
-      stats = bcast_k_panel(col, PanelAxis::kB, n, config.q, gi, my.cols,
-                            k0, bcur, b_block, wb);
+      report.mpi_time_s += depth.bcast(block, block_count, 0);
+      report.replication_bytes += block_bytes;
+      report.bcasts += 1;
     }
+  }
+
+  // 2. My layer's SUMMA panel loop over its share [k_lo, k_hi) of k; the
+  // panel segments split at the q-grid block-ownership boundaries over
+  // the full k axis.
+  const auto count = [&report](const PanelBcastStats& stats) {
     report.mpi_time_s += stats.mpi_time_s;
     report.bcasts += stats.bcasts;
     report.bcast_bytes += stats.bytes;
   };
-
-  // Rank-b update of the layer-local partial C (step `payload`).
-  auto exec_step_gemm = [&](const taskgraph::TaskNode& node) {
-    const std::int64_t k0 = k_lo + node.payload * config.panel;
+  const std::int64_t k_lo = balanced_part_offset(n, config.c, layer);
+  const std::int64_t k_hi = balanced_part_offset(n, config.c, layer + 1);
+  for (std::int64_t k0 = k_lo; k0 < k_hi; k0 += config.panel) {
     const std::int64_t bcur = std::min(config.panel, k_hi - k0);
+    util::MatrixView wa, wb;
+    util::ConstMatrixView a_block, b_block;
+    if (data != nullptr) {
+      wa = util::MatrixView(wa_store.data(), my.rows, bcur, bcur);
+      wb = util::MatrixView(wb_store.data(), bcur, my.cols, my.cols);
+      a_block = data->a_block();
+      b_block = data->b_block();
+    }
+    count(bcast_k_panel(row, PanelAxis::kA, n, config.q, gj, my.rows, k0,
+                        bcur, a_block, wa));
+    count(bcast_k_panel(col, PanelAxis::kB, n, config.q, gi, my.cols, k0,
+                        bcur, b_block, wb));
+
+    // Rank-b update of the layer-local partial C.
     ++report.steps;
     device::KernelCost cost;
     if (data == nullptr) {
       cost = ap.kernel_cost(my.rows, my.cols, bcur, contended);
     } else {
-      const util::MatrixView wa(wa_store.data(), my.rows, bcur, bcur);
-      const util::MatrixView wb(wb_store.data(), bcur, my.cols, my.cols);
       cost = ap.run_gemm(my.rows, my.cols, bcur, wa.data(), bcur, wb.data(),
                          my.cols, data->c_block().data(), my.cols, contended);
     }
@@ -201,35 +179,14 @@ Summa25dReport summa25d_rank(sgmpi::Comm& world, std::int64_t n,
                              "2.5d k0=" + std::to_string(k0)});
     }
     report.flops += blas::gemm_flops(my.rows, my.cols, bcur);
-  };
+  }
 
-  // --- Step 3 body: reduce the partial C blocks across the stack ---
-  auto exec_reduce = [&](const taskgraph::TaskNode&) {
-    const std::int64_t count = my.rows * my.cols;
+  // 3. Reduction: sum the partial C blocks across the stack.
+  if (config.c > 1) {
     report.mpi_time_s += depth.allreduce_sum_buffer(
-        data != nullptr ? data->c_block().data() : nullptr, count);
-    report.reduce_bytes +=
-        count * static_cast<std::int64_t>(sizeof(double));
-  };
-
-  taskgraph::ExecHooks hooks;
-  hooks.run_comm = [&](const taskgraph::TaskNode& node) {
-    if (node.kind == taskgraph::NodeKind::kReduce) {
-      exec_reduce(node);
-    } else if (node.payload < 0) {
-      exec_replicate(node);
-    } else {
-      exec_panel(node);
-    }
-  };
-  hooks.run_local = [&](const taskgraph::TaskNode& node) {
-    if (node.kind == taskgraph::NodeKind::kPack) {
-      exec_panel(node);
-    } else {
-      exec_step_gemm(node);
-    }
-  };
-  taskgraph::run_graph(graph, rank, config.scheduler, /*window=*/0, hooks);
+        data != nullptr ? data->c_block().data() : nullptr, block_count);
+    report.reduce_bytes += block_bytes;
+  }
   return report;
 }
 

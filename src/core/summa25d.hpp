@@ -13,9 +13,10 @@
 //      by ~c because each layer broadcasts only its own panels.
 //   3. The partial C blocks are sum-reduced across the layer communicator.
 //
-// c = 1 degenerates to classic SUMMA exactly. Like the other algorithms
-// here it runs on the numeric plane (real arithmetic, verified) or the
-// modeled plane (virtual time only).
+// summa25d_rank runs these three steps in program order on the calling
+// rank. c = 1 skips steps 1 and 3 and is SUMMA's panel loop. Like the
+// other algorithms here it runs on the numeric plane (real arithmetic,
+// verified) or the modeled plane (virtual time only).
 #pragma once
 
 #include <cstdint>
@@ -32,10 +33,6 @@ struct Summa25dConfig {
   int q = 2;                ///< square grid edge per layer
   int c = 1;                ///< replication factor (layers)
   std::int64_t panel = 256; ///< k-panel width within a layer's share
-  /// Schedule of the step task graph (see SummaConfig::scheduler): the
-  /// replication -> step chain -> reduction graph is a chain, so all
-  /// schedules execute it identically.
-  Scheduler scheduler = Scheduler::kEager;
 };
 
 /// Numeric per-rank storage. Layer 0 ranks hold real A/B blocks; other

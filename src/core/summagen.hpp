@@ -129,7 +129,7 @@ struct FtContext {
   /// clock charges) while still executing its full communication schedule,
   /// and raises sgmpi kDrift after the graph completes — peers finish
   /// undisturbed and the re-partition happens at the commit gate. Called
-  /// from this rank's thread only.
+  /// from this rank's fiber only.
   std::function<bool(const trace::StepSample&)> on_step;
 };
 

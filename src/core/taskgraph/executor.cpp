@@ -30,7 +30,6 @@ class CommPipeline {
   }
 
   bool exhausted() const { return next_complete_ >= mine_.size(); }
-  int next_id() const { return mine_[next_complete_]; }
 
   /// Completes exactly the next comm node in order ("nothing computable —
   /// block on the pipeline head") and returns its id.
@@ -60,8 +59,7 @@ class CommPipeline {
   void post_one() {
     const TaskNode& n = graph_.node(mine_[next_post_]);
     next_post_ = skip(next_post_ + 1);
-    ring_[(head_ + pending_) % ring_.size()] =
-        hooks_.post_comm ? hooks_.post_comm(n) : sgmpi::Request{};
+    ring_[(head_ + pending_) % ring_.size()] = hooks_.post_comm(n);
     ++pending_;
   }
 
@@ -71,11 +69,7 @@ class CommPipeline {
     sgmpi::Request r = std::move(ring_[head_]);
     head_ = (head_ + 1) % ring_.size();
     --pending_;
-    if (hooks_.complete_comm) {
-      hooks_.complete_comm(n, r);
-    } else {
-      hooks_.run_comm(n);
-    }
+    hooks_.complete_comm(n, r);
   }
 
   const TaskGraph& graph_;
@@ -99,7 +93,7 @@ void run_program(const TaskGraph& graph, int rank, const ExecHooks& hooks) {
       hooks.run_comm(n);
       continue;
     }
-    if (n.kind == NodeKind::kGemm && hooks.run_fused) {
+    if (n.kind == NodeKind::kGemm) {
       // Fuse the consecutive chunk chain of this op into one whole-kernel
       // call — the historical eager executor's single charge per DGEMM.
       std::size_t count = 1;
@@ -141,7 +135,6 @@ void run_dataflow(const TaskGraph& graph, int rank, int window,
   // Pending-predecessor counts of my local nodes over their observable
   // predecessors.
   std::vector<int> npred(mine.size(), 0);
-  std::vector<char> done(mine.size(), 0);
   std::set<int> ready;  // my local nodes with all dependencies satisfied
   std::size_t nlocal = 0;
   for (std::size_t i = 0; i < mine.size(); ++i) {
@@ -155,7 +148,6 @@ void run_dataflow(const TaskGraph& graph, int rank, int window,
   }
 
   auto finish = [&](int id) {
-    done[slot(id)] = 1;
     for (int s : graph.succs(id)) {
       if (!my_local(nodes[static_cast<std::size_t>(s)])) continue;
       if (--npred[slot(s)] == 0) ready.insert(s);
@@ -177,16 +169,7 @@ void run_dataflow(const TaskGraph& graph, int rank, int window,
       throw std::logic_error(
           "taskgraph: deadlock — local nodes blocked with no comm pending");
     }
-    // Nothing computable: block on the pipeline head. Guard the graphs
-    // whose comm nodes have local predecessors (workspace write-after-read
-    // in the step chains): completing such a node early would corrupt the
-    // workspace a pending GEMM still reads.
-    for (int p : graph.preds(pipeline.next_id())) {
-      if (my_local(nodes[static_cast<std::size_t>(p)]) && !done[slot(p)]) {
-        throw std::logic_error(
-            "taskgraph: comm node ordered before its local predecessor");
-      }
-    }
+    // Nothing computable: block on the pipeline head.
     finish(pipeline.complete_next());
   }
 }
@@ -195,13 +178,9 @@ void run_dataflow(const TaskGraph& graph, int rank, int window,
 
 void run_graph(const TaskGraph& graph, int rank, Scheduler schedule,
                int window, const ExecHooks& hooks) {
-  if (!hooks.run_local || !hooks.run_comm) {
-    throw std::logic_error("taskgraph: run_local and run_comm are required");
-  }
-  if (static_cast<bool>(hooks.post_comm) !=
-      static_cast<bool>(hooks.complete_comm)) {
-    throw std::logic_error(
-        "taskgraph: post_comm and complete_comm must be provided together");
+  if (!hooks.run_local || !hooks.run_comm || !hooks.run_fused ||
+      !hooks.post_comm || !hooks.complete_comm) {
+    throw std::logic_error("taskgraph: all five ExecHooks are required");
   }
   switch (schedule) {
     case Scheduler::kEager:

@@ -5,7 +5,7 @@
 // same ascending-k order (bit-identity per SIMD tier):
 //
 //  * Scheduler::kEager: ascending node id — the construction order. Comm
-//    nodes run blocking; consecutive kGemm chunk chains of one op may be
+//    nodes run blocking; each consecutive kGemm chunk chain of one op is
 //    fused into a single whole-kernel call (run_fused), reproducing the
 //    historical eager executor's call sequence and virtual timing exactly.
 //  * Scheduler::kTaskGraph: ready-set driven. Comm nodes are posted ahead
@@ -25,11 +25,11 @@
 // (owner == rank) and the comm nodes it participates in (rank in owners),
 // in ascending id — the paper's row_contains_rank / column_contains_rank.
 // Every per-rank structure (the comm pipeline, pending-predecessor
-// counts, completion flags) is sized by that slice, the counts and flags
-// addressed by a node's position in it, so a rank of a p-rank graph costs
-// O(its own nodes), not O(graph). Dependencies on nodes outside the
-// slice (another rank's local work) are treated as satisfied — cross-rank
-// ordering is what the collectives themselves enforce.
+// counts) is sized by that slice, the counts addressed by a node's
+// position in it, so a rank of a p-rank graph costs O(its own nodes), not
+// O(graph). Dependencies on nodes outside the slice (another rank's local
+// work) are treated as satisfied — cross-rank ordering is what the
+// collectives themselves enforce.
 //
 // Node bodies and the shared pool: per-rank virtual time is a serial
 // resource, so the executor runs node bodies on the rank's fiber; the
@@ -47,18 +47,18 @@
 
 namespace summagen::core::taskgraph {
 
-/// Node execution callbacks. `run_local` and `run_comm` are required; the
-/// rest are optional refinements:
-///  * run_fused — kEager only: executes a full consecutive chain of
-///    kGemm chunk nodes of one op as a single whole-kernel call (the
-///    historical eager charge). Called with the first chunk node and the
-///    chain length; the executor then skips the chain.
-///  * post_comm/complete_comm — non-blocking split of a comm node (must be
-///    provided together). kTaskGraph posts up to `window` nodes ahead
-///    and complete them in posting order; without these hooks every comm
-///    node falls back to blocking run_comm at its completion slot. Posting
-///    requires comm nodes without local predecessors (the executor may
-///    post before predecessors ran).
+/// Node execution callbacks, all five required (run_graph throws
+/// std::logic_error on a missing one):
+///  * run_local — a local node (kCopy; a kGemm chunk under kTaskGraph).
+///  * run_comm — kEager: a comm node, blocking.
+///  * run_fused — kEager: a full consecutive chain of kGemm chunk nodes of
+///    one op as a single whole-kernel call (the historical eager charge).
+///    Called with the first chunk node and the chain length; the executor
+///    then skips the chain.
+///  * post_comm/complete_comm — kTaskGraph: the non-blocking split of a
+///    comm node. Up to `window` nodes are posted ahead and completed in
+///    posting order; posting ahead of local work is legal because no comm
+///    node has a local predecessor (TaskGraph::validate).
 struct ExecHooks {
   std::function<void(const TaskNode&)> run_local;
   std::function<void(const TaskNode&)> run_comm;

@@ -255,6 +255,17 @@ void TaskGraph::validate() const {
                              " has a bad id or group");
     }
     memberships += n.is_comm() ? owners(n.id).size() : 1;
+    // The posting contract: the dataflow scheduler may post a comm node
+    // before any local node has run.
+    if (n.is_comm()) {
+      for (int p : preds_of(n.id)) {
+        if (!nodes_[static_cast<std::size_t>(p)].is_comm()) {
+          throw std::logic_error("TaskGraph: comm node " + std::to_string(i) +
+                                 " has local predecessor " +
+                                 std::to_string(p));
+        }
+      }
+    }
   }
   // Rank index: rank_nodes(r) must equal the filter "owner == r or r in
   // owners" in ascending id. Every listed node passing the filter, each
@@ -417,77 +428,6 @@ void prune_completed(TaskGraph& graph, const ExecutionPlan& plan,
     });
     if (!live_succ) graph.drop(n.id);
   }
-}
-
-namespace {
-
-/// Shared step-chain builder: SUMMA is the stack-less special case of the
-/// 2.5D graph.
-TaskGraph build_step_chain(int steps, int rank,
-                           const std::vector<int>& row_members,
-                           const std::vector<int>& col_members,
-                           const std::vector<int>& stack_members) {
-  TaskGraph g;
-  const bool deep = stack_members.size() > 1;
-  g.reserve(static_cast<std::size_t>(3 * std::max(steps, 0) + (deep ? 3 : 0)));
-  const int row = row_members.size() > 1 ? g.add_group(row_members) : -1;
-  const int col = col_members.size() > 1 ? g.add_group(col_members) : -1;
-  int rep_a = -1, rep_b = -1;
-  const int stack = deep ? g.add_group(stack_members) : -1;
-  if (deep) {
-    rep_a = g.add_comm(NodeKind::kBcast, stack, /*payload=*/-1, /*aux=*/0);
-    rep_b = g.add_comm(NodeKind::kBcast, stack, /*payload=*/-1, /*aux=*/1);
-    g.add_dep(rep_a, rep_b);  // depth-communicator collective order
-  }
-  int prev_gemm = -1;
-  for (int s = 0; s < steps; ++s) {
-    const int a = row >= 0 ? g.add_comm(NodeKind::kBcast, row, s, 0)
-                           : g.add_local(NodeKind::kPack, rank, s, 0);
-    const int b = col >= 0 ? g.add_comm(NodeKind::kBcast, col, s, 1)
-                           : g.add_local(NodeKind::kPack, rank, s, 1);
-    const int gm = g.add_local(NodeKind::kGemm, rank, s, 2);
-    g.add_dep(a, gm);
-    g.add_dep(b, gm);
-    if (prev_gemm >= 0) {
-      // Ascending-k accumulation chain, plus write-after-read: step s
-      // overwrites the shared WA/WB panel workspaces step s-1's GEMM read.
-      g.add_dep(prev_gemm, gm);
-      g.add_dep(prev_gemm, a);
-      g.add_dep(prev_gemm, b);
-    } else {
-      if (rep_a >= 0) g.add_dep(rep_a, a);
-      if (rep_b >= 0) g.add_dep(rep_b, b);
-    }
-    prev_gemm = gm;
-  }
-  if (deep) {
-    const int red =
-        g.add_comm(NodeKind::kReduce, stack, /*payload=*/-2, /*aux=*/0);
-    if (prev_gemm >= 0) {
-      g.add_dep(prev_gemm, red);
-    } else if (rep_b >= 0) {
-      g.add_dep(rep_b, red);
-    }
-  }
-  g.seal();
-  g.validate();
-  return g;
-}
-
-}  // namespace
-
-TaskGraph build_summa_graph(int steps, int rank,
-                            const std::vector<int>& row_members,
-                            const std::vector<int>& col_members) {
-  return build_step_chain(steps, rank, row_members, col_members, {});
-}
-
-TaskGraph build_summa25d_graph(int steps, int rank,
-                               const std::vector<int>& row_members,
-                               const std::vector<int>& col_members,
-                               const std::vector<int>& stack_members) {
-  return build_step_chain(steps, rank, row_members, col_members,
-                          stack_members);
 }
 
 }  // namespace summagen::core::taskgraph

@@ -1,21 +1,23 @@
-// Data-dependency task graph for the SUMMA-family executions.
+// Data-dependency task graph of a SummaGen execution.
 //
-// Every algorithm in core/ used to hard-code exactly one op ordering: the
-// SummaGen ExecutionPlan was replayed front-to-back (eager) or with a
-// deferred-completion window (pipelined), and SUMMA/2.5D ran a fixed step
-// loop. The task graph splits *what must happen before what* from *when it
-// happens*: nodes are panel broadcasts, local copies, B/A-panel packs,
-// k-chunked GEMM accumulations, and 2.5D reductions; edges are read/write
-// dependencies. Schedulers (src/core/taskgraph/executor.hpp) then execute
-// any legal topological order — the eager schedule is the construction
-// order of the graph, and the dataflow scheduler runs whatever is ready.
+// The task graph splits *what must happen before what* from *when it
+// happens*: nodes are sub-partition broadcasts, single-owner local copies
+// and k-chunked GEMM accumulations; edges are read dependencies plus each
+// DGEMM's ascending-k chunk chain. Schedulers
+// (src/core/taskgraph/executor.hpp) then execute any legal topological
+// order — the eager schedule is the construction order of the graph, and
+// the dataflow scheduler runs whatever is ready. (SUMMA and 2.5D have one
+// legal order, so they are plain panel loops with no graph.)
 //
-// Determinism contract: every rank builds the graph from the same
-// deterministic inputs (the per-rank identical ExecutionPlan, or the
-// rank's own grid coordinates), so node ids agree wherever they must: the
-// sub-sequence of comm nodes on any one subgroup communicator is identical
-// across its members in ascending-id order — the MPI collective-ordering
-// rule, inherited from the plan's eager global order.
+// Determinism contract: every rank reads the graph built from the same
+// per-rank identical ExecutionPlan, so the sub-sequence of comm nodes on
+// any one subgroup communicator is identical across its members in
+// ascending-id order — the MPI collective-ordering rule, inherited from the
+// plan's eager global order.
+//
+// Posting contract: a comm node has no local predecessor (validate()
+// rejects one), so the dataflow scheduler may post any comm node before
+// any local node has run.
 //
 // Recovery contract: shrink-and-repartition recovery prunes the graph
 // (prune_completed) instead of rewriting op lists. Node ids are stable
@@ -35,21 +37,19 @@
 
 namespace summagen::core::taskgraph {
 
-/// What a node does when executed. Comm kinds (kBcast, kReduce) name their
+/// What a node does when executed. kBcast, the comm kind, names its
 /// participating ranks through `group`; local kinds carry the executing
 /// rank in `owner`.
 enum class NodeKind : std::uint8_t {
-  kBcast,   ///< panel/block broadcast over a subgroup communicator
-  kCopy,    ///< single-owner local copy into WA/WB (zero virtual cost)
-  kPack,    ///< local panel pack (a degenerate one-rank broadcast axis)
-  kGemm,    ///< one k-chunk of a local DGEMM accumulation
-  kReduce,  ///< 2.5D partial-C sum-reduction over the depth communicator
+  kBcast,  ///< sub-partition (panel) broadcast over a subgroup communicator
+  kCopy,   ///< single-owner local copy into WA/WB (zero virtual cost)
+  kGemm,   ///< one k-chunk of a local DGEMM accumulation
 };
 
 /// One node of the graph: a plain 24-byte record with no heap members.
 /// Edges and owner lists live in the graph (TaskGraph::preds/succs/owners).
-/// `payload`/`aux` are algorithm-defined cookies (SummaGen: plan op index
-/// + chunk index; SUMMA/2.5D: step index + axis).
+/// `payload` is the node's plan op index (copy_ops, comm_ops or gemm_ops
+/// by kind) and `aux` a kGemm node's chunk index.
 struct TaskNode {
   NodeKind kind = NodeKind::kCopy;
   bool dropped = false;  ///< pruned by recovery; executors skip it
@@ -117,10 +117,11 @@ class TaskGraph {
   std::span<const int> rank_nodes(int rank) const;
 
   /// Structural invariants of a sealed graph: id sanity, strictly
-  /// ascending group owners, a rank index equal to the filter it caches,
-  /// and acyclicity (Kahn topological sort must consume every node).
-  /// Edge symmetry holds by construction (both directions come from one
-  /// edge list). Throws std::logic_error.
+  /// ascending group owners, no comm node with a local predecessor (the
+  /// posting contract), a rank index equal to the filter it caches, and
+  /// acyclicity (Kahn topological sort must consume every node). Edge
+  /// symmetry holds by construction (both directions come from one edge
+  /// list). Throws std::logic_error.
   void validate() const;
 
  private:
@@ -166,23 +167,5 @@ TaskGraph build_summagen_graph(const partition::PartitionSpec& spec,
 /// pruned copy (src/core/summagen.cpp), so collectives stay matched.
 void prune_completed(TaskGraph& graph, const ExecutionPlan& plan,
                      const std::set<std::pair<int, int>>& done);
-
-/// Builds one rank's SUMMA step chain: per step an A panel node (kBcast
-/// over `row_members`, or kPack when the row is trivial), a B panel node
-/// over `col_members`, and a kGemm node reading both. The GEMM of step s
-/// also writes-after-reads the shared panel workspaces, so it precedes the
-/// panel nodes of step s+1. payload = step index; aux: 0 = A, 1 = B.
-TaskGraph build_summa_graph(int steps, int rank,
-                            const std::vector<int>& row_members,
-                            const std::vector<int>& col_members);
-
-/// The SUMMA chain plus 2.5D replication and reduction over
-/// `stack_members` (when > 1 deep): repA -> repB precede step 0's panels
-/// (payload -1, aux 0/1), and a kReduce node (payload -2) follows the last
-/// GEMM.
-TaskGraph build_summa25d_graph(int steps, int rank,
-                               const std::vector<int>& row_members,
-                               const std::vector<int>& col_members,
-                               const std::vector<int>& stack_members);
 
 }  // namespace summagen::core::taskgraph

@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "src/mpi/faults.hpp"
@@ -131,7 +130,6 @@ class Request {
     double cost = 0.0;        ///< modeled Hockney cost of the operation
     double lane_start = 0.0;  ///< comm-lane slot reserved at post time
     bool blocking = false;    ///< posted by a blocking wrapper (event kind)
-    std::string comm_desc;    ///< communicator label for error reports
 
     // Strided (panel) descriptor, set by the *_panel operations: the
     // payload is a panel_rows x panel_cols double block. recv_buf/dst_ld
@@ -288,6 +286,14 @@ class Comm {
   friend class Context;
   Comm(std::shared_ptr<Context> ctx, std::size_t state_index, int rank)
       : ctx_(std::move(ctx)), state_index_(state_index), rank_(rank) {}
+
+  /// Posts a broadcast whose payload fields (recv_buf, bytes, root and,
+  /// for a panel, its shape and views) `op` already holds: fills in the
+  /// rest, reserves this rank's comm lane and registers the post in the
+  /// communicator's matching slot. `src`/`src_ld` are the root's payload
+  /// (src_ld -1 = contiguous). Throws std::invalid_argument when the
+  /// members disagree on size, root or panel shape.
+  Request post_bcast(Request::Op op, const void* src, std::int64_t src_ld);
 
   /// Appends the event-log entry for a completed request.
   void record_completion(const Request::Op& op, double wait_entry,

@@ -67,7 +67,7 @@ Request::~Request() {
   std::fprintf(stderr,
                "sgmpi: fatal: pending %s request destroyed without "
                "wait/test on comm '%s'\n",
-               kind, op_->comm_desc.c_str());
+               kind, comm_label(op_->state_index).c_str());
   std::fflush(stderr);
   std::abort();
 }
@@ -77,47 +77,11 @@ Request Comm::ibcast_bytes(void* data, std::int64_t bytes, int root) {
   validate_root(root, q);
   if (bytes < 0) throw std::invalid_argument("sgmpi: negative bcast size");
   if (q == 1) return Request{};
-  ctx_->unwind_check(world_rank());
-
-  auto op = std::make_unique<Request::Op>();
-  op->kind = rank_ == root ? Request::Kind::kBcastSendRoot
-                           : Request::Kind::kBcastRecv;
-  op->state_index = state_index_;
-  op->recv_buf = rank_ == root ? nullptr : data;
-  op->bytes = bytes;
-  op->root = root;
-  op->cost = modeled_bcast_cost(bytes, q);
-  if (ctx_->faults) {
-    op->cost *= ctx_->faults->link_factor(world_rank(), clock().now());
-  }
-  op->lane_start = clock().post_async_comm(op->cost);
-  op->comm_desc = comm_label(state_index_);
-
-  auto& st = ctx_->state(state_index_);
-  {
-    std::lock_guard<std::mutex> lock(st.async_mutex);
-    op->seq = st.next_post_seq[static_cast<std::size_t>(rank_)]++;
-    auto& slot = st.async_slots[op->seq];
-    ++slot.posted;
-    slot.entry_max = std::max(slot.entry_max, op->lane_start);
-    if (slot.bytes < 0) {
-      slot.bytes = bytes;
-    } else if (slot.bytes != bytes) {
-      throw std::invalid_argument(
-          "sgmpi: bcast size mismatch across members (got " +
-          std::to_string(bytes) + " vs " + std::to_string(slot.bytes) + ")");
-    }
-    if (slot.root < 0) {
-      slot.root = root;
-    } else if (slot.root != root) {
-      throw std::invalid_argument("sgmpi: bcast root mismatch across members");
-    }
-    if (rank_ == root) {
-      slot.src = data;
-      slot.root_posted = true;
-    }
-  }
-  return Request{std::move(op)};
+  Request::Op op;
+  op.recv_buf = rank_ == root ? nullptr : data;
+  op.bytes = bytes;
+  op.root = root;
+  return post_bcast(op, data, -1);
 }
 
 Request Comm::ibcast_panel(util::ConstMatrixView src, util::MatrixView dst,
@@ -136,8 +100,6 @@ Request Comm::ibcast_panel(util::ConstMatrixView src, util::MatrixView dst,
     throw std::invalid_argument(
         "sgmpi: ibcast_panel root dst shape differs from src");
   }
-  const std::int64_t bytes =
-      rows * cols * static_cast<std::int64_t>(sizeof(double));
   if (q == 1) {
     // Single-member communicator: no traffic, but the root's local store
     // still happens (callers rely on the panel landing in dst).
@@ -146,61 +108,68 @@ Request Comm::ibcast_panel(util::ConstMatrixView src, util::MatrixView dst,
     }
     return Request{};
   }
-  ctx_->unwind_check(world_rank());
+  Request::Op op;
+  op.recv_buf = dst.data();
+  op.bytes = rows * cols * static_cast<std::int64_t>(sizeof(double));
+  op.root = root;
+  op.panel = true;
+  op.panel_rows = rows;
+  op.panel_cols = cols;
+  op.src_ld = src.ld();
+  op.dst_ld = dst.ld();
+  op.panel_src = src.data();
+  return post_bcast(op, src.data(), src.ld());
+}
 
-  auto op = std::make_unique<Request::Op>();
-  op->kind = is_root ? Request::Kind::kBcastSendRoot
-                     : Request::Kind::kBcastRecv;
-  op->state_index = state_index_;
-  op->recv_buf = dst.data();
-  op->bytes = bytes;
-  op->root = root;
-  op->panel = true;
-  op->panel_rows = rows;
-  op->panel_cols = cols;
-  op->src_ld = src.ld();
-  op->dst_ld = dst.ld();
-  op->panel_src = src.data();
-  op->cost = modeled_bcast_cost(bytes, q);
+Request Comm::post_bcast(Request::Op op, const void* src,
+                         std::int64_t src_ld) {
+  ctx_->unwind_check(world_rank());
+  const bool is_root = rank_ == op.root;
+  op.kind = is_root ? Request::Kind::kBcastSendRoot
+                    : Request::Kind::kBcastRecv;
+  op.state_index = state_index_;
+  op.cost = modeled_bcast_cost(op.bytes, size());
   if (ctx_->faults) {
-    op->cost *= ctx_->faults->link_factor(world_rank(), clock().now());
+    op.cost *= ctx_->faults->link_factor(world_rank(), clock().now());
   }
-  op->lane_start = clock().post_async_comm(op->cost);
-  op->comm_desc = comm_label(state_index_);
+  op.lane_start = clock().post_async_comm(op.cost);
 
   auto& st = ctx_->state(state_index_);
   {
     std::lock_guard<std::mutex> lock(st.async_mutex);
-    op->seq = st.next_post_seq[static_cast<std::size_t>(rank_)]++;
-    auto& slot = st.async_slots[op->seq];
+    op.seq = st.next_post_seq[static_cast<std::size_t>(rank_)]++;
+    auto& slot = st.async_slots[op.seq];
     ++slot.posted;
-    slot.entry_max = std::max(slot.entry_max, op->lane_start);
+    slot.entry_max = std::max(slot.entry_max, op.lane_start);
     if (slot.bytes < 0) {
-      slot.bytes = bytes;
-    } else if (slot.bytes != bytes) {
+      slot.bytes = op.bytes;
+    } else if (slot.bytes != op.bytes) {
       throw std::invalid_argument(
           "sgmpi: bcast size mismatch across members (got " +
-          std::to_string(bytes) + " vs " + std::to_string(slot.bytes) + ")");
+          std::to_string(op.bytes) + " vs " + std::to_string(slot.bytes) +
+          ")");
     }
     if (slot.root < 0) {
-      slot.root = root;
-    } else if (slot.root != root) {
+      slot.root = op.root;
+    } else if (slot.root != op.root) {
       throw std::invalid_argument("sgmpi: bcast root mismatch across members");
     }
-    if (slot.rows < 0) {
-      slot.rows = rows;
-      slot.cols = cols;
-    } else if (slot.rows != rows || slot.cols != cols) {
-      throw std::invalid_argument(
-          "sgmpi: panel bcast shape mismatch across members");
+    if (op.panel) {
+      if (slot.rows < 0) {
+        slot.rows = op.panel_rows;
+        slot.cols = op.panel_cols;
+      } else if (slot.rows != op.panel_rows || slot.cols != op.panel_cols) {
+        throw std::invalid_argument(
+            "sgmpi: panel bcast shape mismatch across members");
+      }
     }
     if (is_root) {
-      slot.src = src.data();
-      slot.src_ld = src.ld();
+      slot.src = src;
+      slot.src_ld = src_ld;
       slot.root_posted = true;
     }
   }
-  return Request{std::move(op)};
+  return Request{std::make_unique<Request::Op>(op)};
 }
 
 double Comm::wait(Request& request) {

@@ -7,6 +7,7 @@
 #include "src/core/reference.hpp"
 #include "src/device/platform.hpp"
 #include "src/util/rng.hpp"
+#include "tests/core/run_digest.hpp"
 
 namespace summagen::core {
 namespace {
@@ -155,6 +156,83 @@ TEST(Summa25d, HeterogeneousProcessorsStillCorrect) {
             gemm_tolerance(n));
   // The slow device's clock dominates the makespan.
   EXPECT_GT(runtime.max_vtime(), 0.0);
+}
+
+/// Digest of one 2.5D run with events recorded, on scalar-tier processors
+/// whose speeds cycle 1, 1.5, 2: every rank's clock and report, the event
+/// log, and for a numeric run the C gathered from layer 0.
+std::uint64_t summa25d_digest(std::int64_t n, const Summa25dConfig& config,
+                              bool numeric) {
+  const int per_layer = config.q * config.q;
+  const int p = per_layer * config.c;
+  std::vector<double> speeds;
+  for (int r = 0; r < p; ++r) speeds.push_back(1.0 + 0.5 * (r % 3));
+  const auto processors = device::Platform::synthetic(speeds).processors(
+      {.tier = blas::SimdTier::kScalar});
+  std::vector<std::unique_ptr<Summa25dLocalData>> locals;
+  if (numeric) {
+    util::Matrix a(n, n), b(n, n);
+    util::fill_random(a, util::derive_seed(43, 1));
+    util::fill_random(b, util::derive_seed(43, 2));
+    for (int r = 0; r < p; ++r) {
+      locals.push_back(
+          std::make_unique<Summa25dLocalData>(n, config, r, a, b));
+    }
+  }
+  sgmpi::Config mpi_config;
+  mpi_config.nranks = p;
+  mpi_config.record_events = true;
+  sgmpi::Runtime runtime(mpi_config);
+  std::vector<Summa25dReport> reports(static_cast<std::size_t>(p));
+  runtime.run([&](sgmpi::Comm& world) {
+    const auto r = static_cast<std::size_t>(world.rank());
+    reports[r] = summa25d_rank(world, n, config, processors[r],
+                               numeric ? locals[r].get() : nullptr);
+  });
+  RunDigest digest;
+  for (int r = 0; r < p; ++r) {
+    const Summa25dReport& rep = reports[static_cast<std::size_t>(r)];
+    digest.add(runtime.clock(r));
+    digest.add(std::int64_t{rep.steps});
+    digest.add(std::int64_t{rep.bcasts});
+    digest.add(rep.bcast_bytes);
+    digest.add(rep.replication_bytes);
+    digest.add(rep.reduce_bytes);
+    digest.add(rep.mpi_time_s);
+    digest.add(rep.flops);
+  }
+  digest.add(runtime.events());
+  if (numeric) {
+    util::Matrix c(n, n);
+    for (int r = 0; r < per_layer; ++r) {
+      locals[static_cast<std::size_t>(r)]->gather_c(c);
+    }
+    digest.add(c);
+  }
+  return digest.value();
+}
+
+TEST(Summa25d, RunUnchangedFromParent) {
+  // Digests pinned from the task-graph execution (replication, step chain,
+  // reduction) the panel loop replaced.
+  struct Pin {
+    std::int64_t n;
+    Summa25dConfig config;
+    bool numeric;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {60, {2, 3, 7}, true, 0x2b0fd6a61982ff85ull},
+      {61, {3, 1, 9}, true, 0xfb438b4623a1fd77ull},  // one layer: SUMMA
+      {64, {1, 4, 5}, true, 0xfce9bd1296424fb2ull},  // one-rank layers
+      {16384, {8, 4, 512}, false, 0x0adaae449be4d7a2ull},
+  };
+  for (const Pin& pin : pins) {
+    const std::uint64_t got = summa25d_digest(pin.n, pin.config, pin.numeric);
+    EXPECT_EQ(got, pin.digest)
+        << "n=" << pin.n << " q=" << pin.config.q << " c=" << pin.config.c
+        << " panel=" << pin.config.panel << ": digest 0x" << std::hex << got;
+  }
 }
 
 TEST(Summa25d, RejectsBadConfigs) {

@@ -7,6 +7,7 @@
 #include "src/core/reference.hpp"
 #include "src/device/platform.hpp"
 #include "src/util/rng.hpp"
+#include "tests/core/run_digest.hpp"
 
 namespace summagen::core {
 namespace {
@@ -140,6 +141,81 @@ TEST(Summa, SmallerPanelsMeanMoreSmallerBroadcasts) {
   EXPECT_EQ(fine.bcast_bytes, coarse.bcast_bytes);
   // More messages, more latency terms.
   EXPECT_GT(fine.mpi_time_s, coarse.mpi_time_s);
+}
+
+/// Digest of one SUMMA run with events recorded, on scalar-tier
+/// processors whose speeds cycle 1, 1.5, 2 (so ranks idle at the
+/// broadcasts): every rank's clock and report, the event log, and for a
+/// numeric run the gathered C.
+std::uint64_t summa_digest(std::int64_t n, const SummaConfig& config,
+                           bool numeric) {
+  const int p = config.pr * config.pc;
+  std::vector<double> speeds;
+  for (int r = 0; r < p; ++r) speeds.push_back(1.0 + 0.5 * (r % 3));
+  const auto processors = device::Platform::synthetic(speeds).processors(
+      {.tier = blas::SimdTier::kScalar});
+  std::vector<std::unique_ptr<SummaLocalData>> locals;
+  if (numeric) {
+    util::Matrix a(n, n), b(n, n);
+    util::fill_random(a, util::derive_seed(41, 1));
+    util::fill_random(b, util::derive_seed(41, 2));
+    for (int r = 0; r < p; ++r) {
+      locals.push_back(std::make_unique<SummaLocalData>(n, config, r, a, b));
+    }
+  }
+  sgmpi::Config mpi_config;
+  mpi_config.nranks = p;
+  mpi_config.record_events = true;
+  sgmpi::Runtime runtime(mpi_config);
+  std::vector<SummaReport> reports(static_cast<std::size_t>(p));
+  runtime.run([&](sgmpi::Comm& world) {
+    const auto r = static_cast<std::size_t>(world.rank());
+    reports[r] = summa_rank(world, n, config, processors[r],
+                            numeric ? locals[r].get() : nullptr);
+  });
+  RunDigest digest;
+  for (int r = 0; r < p; ++r) {
+    const SummaReport& rep = reports[static_cast<std::size_t>(r)];
+    digest.add(runtime.clock(r));
+    digest.add(std::int64_t{rep.steps});
+    digest.add(std::int64_t{rep.bcasts});
+    digest.add(rep.bcast_bytes);
+    digest.add(rep.mpi_time_s);
+    digest.add(rep.flops);
+  }
+  digest.add(runtime.events());
+  if (numeric) {
+    util::Matrix c(n, n);
+    for (const auto& local : locals) local->gather_c(c);
+    digest.add(c);
+  }
+  return digest.value();
+}
+
+TEST(Summa, RunUnchangedFromParent) {
+  // Digests pinned from the step-chain task-graph execution the panel
+  // loop replaced: the same broadcasts, kernels, clocks and events in the
+  // same order, and the same C bits.
+  struct Pin {
+    std::int64_t n;
+    SummaConfig config;
+    bool numeric;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {100, {2, 3, 32}, true, 0xed08a3b1c9c53cd2ull},
+      // One-rank rows, then one-rank columns: mirror images with the same
+      // clocks, events and C, hence one digest.
+      {97, {3, 1, 10}, true, 0xc292932bc1cf319eull},
+      {97, {1, 3, 10}, true, 0xc292932bc1cf319eull},
+      {16384, {16, 16, 2048}, false, 0xb0676d3ba91b0021ull},
+  };
+  for (const Pin& pin : pins) {
+    const std::uint64_t got = summa_digest(pin.n, pin.config, pin.numeric);
+    EXPECT_EQ(got, pin.digest)
+        << "n=" << pin.n << " grid=" << pin.config.pr << "x" << pin.config.pc
+        << " panel=" << pin.config.panel << ": digest 0x" << std::hex << got;
+  }
 }
 
 TEST(Summa, WorldSizeMismatchThrows) {

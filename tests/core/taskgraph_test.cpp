@@ -5,10 +5,8 @@
 //    prefix-of-comm_ops contract in ascending collective order;
 //  * recovery pruning drops exactly what the historical row/column
 //    liveness rule dropped, with node ids untouched;
-//  * the SUMMA / 2.5D step chains have the expected shape (replication
-//    heads, write-after-read workspace edges, reduction tail);
-//  * both schedulers produce bit-identical numeric results and
-//    identical counters on the chain graphs (SUMMA and 2.5D);
+//  * validate() rejects bad edges, cycles and a comm node with a local
+//    predecessor (the dataflow scheduler posts comm nodes ahead);
 //  * the per-rank index lists exactly the nodes a rank observes, and the
 //    executor walking it makes the same hook calls, in the same order, as
 //    a whole-graph scan;
@@ -22,7 +20,6 @@
 #include <deque>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <set>
 #include <span>
 #include <string>
@@ -31,14 +28,10 @@
 #include <vector>
 
 #include "src/core/plan.hpp"
-#include "src/core/summa.hpp"
-#include "src/core/summa25d.hpp"
 #include "src/core/taskgraph/executor.hpp"
-#include "src/device/platform.hpp"
 #include "src/partition/areas.hpp"
 #include "src/partition/nrrp.hpp"
 #include "src/partition/shapes.hpp"
-#include "src/util/rng.hpp"
 
 namespace summagen::core {
 namespace {
@@ -77,6 +70,29 @@ int max_comm_pred(const TaskGraph& g, const TaskNode& n) {
     if (g.node(p).is_comm()) dep = std::max(dep, p);
   }
   return dep;
+}
+
+/// Hooks that log every call as "<call><node id>[x<fused length>]".
+taskgraph::ExecHooks recording_hooks(std::vector<std::string>& log) {
+  taskgraph::ExecHooks hooks;
+  hooks.run_local = [&log](const TaskNode& n) {
+    log.push_back("local" + std::to_string(n.id));
+  };
+  hooks.run_comm = [&log](const TaskNode& n) {
+    log.push_back("comm" + std::to_string(n.id));
+  };
+  hooks.run_fused = [&log](const TaskNode& n, int count) {
+    log.push_back("fused" + std::to_string(n.id) + "x" +
+                  std::to_string(count));
+  };
+  hooks.post_comm = [&log](const TaskNode& n) {
+    log.push_back("post" + std::to_string(n.id));
+    return sgmpi::Request{};
+  };
+  hooks.complete_comm = [&log](const TaskNode& n, sgmpi::Request&) {
+    log.push_back("complete" + std::to_string(n.id));
+  };
+  return hooks;
 }
 
 TEST(SummagenGraph, NodeInventoryMatchesPlan) {
@@ -246,19 +262,33 @@ TEST(TaskGraphInvariants, RejectsBadEdgesAndCycles) {
   TaskGraph dup = g;
   dup.add_dep(0, 1);
   EXPECT_THROW(dup.seal(), std::logic_error);  // duplicate
-  EXPECT_THROW(taskgraph::run_graph(dup, 0, Scheduler::kEager, 0,
-                                    taskgraph::ExecHooks{
-                                        [](const TaskNode&) {},
-                                        [](const TaskNode&) {}, {}, {}, {}}),
-               std::logic_error);  // an unsealed graph never executes
+  std::vector<std::string> log;
+  EXPECT_THROW(
+      taskgraph::run_graph(dup, 0, Scheduler::kEager, 0, recording_hooks(log)),
+      std::logic_error);  // an unsealed graph never executes
+  EXPECT_TRUE(log.empty());
   g.seal();
   EXPECT_NO_THROW(g.validate());
   EXPECT_THROW(g.add_dep(1, 0), std::logic_error);  // sealed: immutable
+  taskgraph::ExecHooks partial = recording_hooks(log);
+  partial.run_fused = nullptr;
+  EXPECT_THROW(taskgraph::run_graph(g, 0, Scheduler::kEager, 0, partial),
+               std::logic_error);  // every hook is required
+  EXPECT_TRUE(log.empty());
   TaskGraph cycle = two_nodes();
   cycle.add_dep(0, 1);
   cycle.add_dep(1, 0);  // structurally fine, semantically a cycle
   cycle.seal();
   EXPECT_THROW(cycle.validate(), std::logic_error);
+  // The posting contract: the dataflow scheduler may post a comm node
+  // before any local node has run, so no comm node waits for local work.
+  TaskGraph late;
+  const int line = late.add_group(std::vector<int>{0, 1});
+  const int copy = late.add_local(NodeKind::kCopy, 0, 0);
+  const int bcast = late.add_comm(NodeKind::kBcast, line, 0);
+  late.add_dep(copy, bcast);
+  late.seal();
+  EXPECT_THROW(late.validate(), std::logic_error);
   TaskGraph comm;
   EXPECT_THROW(comm.add_group(std::vector<int>{}), std::logic_error);
   EXPECT_THROW(comm.add_comm(NodeKind::kBcast, 0, 0), std::logic_error);
@@ -283,76 +313,6 @@ TEST(TaskGraph, SealKeepsInsertionOrder) {
   EXPECT_NO_THROW(g.validate());
 }
 
-TEST(StepChainGraph, SummaShape) {
-  const std::vector<int> row = {0, 1};
-  const std::vector<int> col = {0, 2};
-  const TaskGraph g = taskgraph::build_summa_graph(3, /*rank=*/0, row, col);
-  ASSERT_EQ(g.size(), 9u);  // (a, b, gemm) per step
-  for (int s = 0; s < 3; ++s) {
-    const TaskNode& a = g.node(3 * s);
-    const TaskNode& b = g.node(3 * s + 1);
-    const TaskNode& gm = g.node(3 * s + 2);
-    EXPECT_EQ(a.kind, NodeKind::kBcast);
-    EXPECT_EQ(to_vector(g.owners(a.id)), row);
-    EXPECT_EQ(to_vector(g.owners(b.id)), col);
-    EXPECT_EQ(gm.kind, NodeKind::kGemm);
-    EXPECT_EQ(a.payload, s);
-    EXPECT_EQ(gm.payload, s);
-    // The GEMM reads both panels; the next step's panels write-after-read
-    // the shared workspaces, so they wait for this GEMM.
-    std::vector<int> preds = to_vector(g.preds(gm.id));
-    std::sort(preds.begin(), preds.end());
-    if (s == 0) {
-      EXPECT_EQ(preds, (std::vector<int>{a.id, b.id}));
-    } else {
-      EXPECT_EQ(preds, (std::vector<int>{g.node(3 * s - 1).id, a.id, b.id}));
-      const auto a_preds = g.preds(a.id);
-      const auto b_preds = g.preds(b.id);
-      EXPECT_TRUE(std::count(a_preds.begin(), a_preds.end(), 3 * s - 1));
-      EXPECT_TRUE(std::count(b_preds.begin(), b_preds.end(), 3 * s - 1));
-    }
-  }
-}
-
-TEST(StepChainGraph, TrivialAxisBecomesLocalPack) {
-  const TaskGraph g =
-      taskgraph::build_summa_graph(2, /*rank=*/3, {3}, {1, 3});
-  for (int s = 0; s < 2; ++s) {
-    const TaskNode& a = g.node(3 * s);
-    EXPECT_EQ(a.kind, NodeKind::kPack);
-    EXPECT_FALSE(a.is_comm());
-    EXPECT_EQ(a.owner, 3);
-    EXPECT_EQ(g.node(3 * s + 1).kind, NodeKind::kBcast);
-  }
-}
-
-TEST(StepChainGraph, Summa25dAddsReplicationAndReduction) {
-  const std::vector<int> row = {0, 1};
-  const std::vector<int> col = {0, 2};
-  const std::vector<int> stack = {0, 4};
-  const TaskGraph g =
-      taskgraph::build_summa25d_graph(2, /*rank=*/0, row, col, stack);
-  ASSERT_EQ(g.size(), 2u + 6u + 1u);
-  const TaskNode& rep_a = g.node(0);
-  const TaskNode& rep_b = g.node(1);
-  const TaskNode& red = g.node(static_cast<int>(g.size()) - 1);
-  EXPECT_EQ(rep_a.kind, NodeKind::kBcast);
-  EXPECT_EQ(rep_a.payload, -1);
-  EXPECT_EQ(to_vector(g.owners(rep_a.id)), stack);
-  EXPECT_EQ(rep_b.payload, -1);
-  EXPECT_EQ(red.kind, NodeKind::kReduce);
-  EXPECT_EQ(red.payload, -2);
-  EXPECT_EQ(to_vector(g.owners(red.id)), stack);
-  // Depth-communicator collective order: A replication, B replication,
-  // then (after the last GEMM) the reduction.
-  EXPECT_EQ(g.succs(rep_a.id).front(), rep_b.id);
-  const auto rep_b_succs = g.succs(rep_b.id);
-  EXPECT_TRUE(std::count(rep_b_succs.begin(), rep_b_succs.end(), 3));
-  ASSERT_EQ(g.preds(red.id).size(), 1u);
-  EXPECT_EQ(g.node(g.preds(red.id).front()).kind, NodeKind::kGemm);
-  EXPECT_EQ(g.node(g.preds(red.id).front()).payload, 1);
-}
-
 bool observes(const TaskGraph& g, const TaskNode& n, int rank) {
   const auto owners = g.owners(n.id);
   return n.owner == rank ||
@@ -374,17 +334,13 @@ std::vector<int> graph_ranks(const TaskGraph& g) {
   return {ranks.begin(), ranks.end()};
 }
 
-/// A graph under test, and whether its comm nodes may be posted ahead
-/// (the SummaGen graphs; the step chains' comm nodes have local
-/// predecessors, so their callers run them blocking).
 struct NamedGraph {
   std::string name;
   TaskGraph graph;
-  bool postable = true;
 };
 
 /// The paper shapes with and without panelled broadcasts, an NRRP p=64
-/// layout, a recovery-pruned graph, and the SUMMA and 2.5D step chains.
+/// layout, and a recovery-pruned graph.
 std::vector<NamedGraph> graphs_under_test() {
   std::vector<NamedGraph> out;
   for (const auto shape : all_shapes()) {
@@ -411,11 +367,6 @@ std::vector<NamedGraph> graphs_under_test() {
       n, partition::partition_areas_cpm(n * n, std::vector<double>(64, 1.0)));
   out.push_back({"nrrp/p64", taskgraph::build_summagen_graph(
                                  nrrp, build_plan(nrrp, SummaGenOptions{}))});
-  out.push_back(
-      {"summa", taskgraph::build_summa_graph(3, 0, {0, 1}, {0, 2}), false});
-  out.push_back({"summa25d",
-                 taskgraph::build_summa25d_graph(2, 0, {0, 1}, {0, 2}, {0, 4}),
-                 false});
   return out;
 }
 
@@ -468,7 +419,7 @@ void reference_run(const TaskGraph& graph, int rank, Scheduler schedule,
         continue;
       }
       if (n.owner != rank) continue;
-      if (n.kind == NodeKind::kGemm && hooks.run_fused) {
+      if (n.kind == NodeKind::kGemm) {
         std::size_t count = 1;
         while (id + count < nodes.size() &&
                nodes[id + count].kind == NodeKind::kGemm &&
@@ -495,8 +446,7 @@ void reference_run(const TaskGraph& graph, int rank, Scheduler schedule,
   std::size_t next_post = 0, next_complete = 0;
   const auto post_one = [&] {
     const TaskNode& n = nodes[static_cast<std::size_t>(comms[next_post++])];
-    pending.push_back(hooks.post_comm ? hooks.post_comm(n)
-                                      : sgmpi::Request{});
+    pending.push_back(hooks.post_comm(n));
   };
   const auto top_up = [&] {
     while (next_post < comms.size() && pending.size() < depth) post_one();
@@ -506,11 +456,7 @@ void reference_run(const TaskGraph& graph, int rank, Scheduler schedule,
     const int id = comms[next_complete++];
     sgmpi::Request r = std::move(pending.front());
     pending.pop_front();
-    if (hooks.complete_comm) {
-      hooks.complete_comm(nodes[static_cast<std::size_t>(id)], r);
-    } else {
-      hooks.run_comm(nodes[static_cast<std::size_t>(id)]);
-    }
+    hooks.complete_comm(nodes[static_cast<std::size_t>(id)], r);
     top_up();
     return id;
   };
@@ -553,32 +499,6 @@ void reference_run(const TaskGraph& graph, int rank, Scheduler schedule,
   }
 }
 
-/// Hooks that log every call as "<call><node id>[x<fused length>]".
-taskgraph::ExecHooks recording_hooks(std::vector<std::string>& log,
-                                     bool postable) {
-  taskgraph::ExecHooks hooks;
-  hooks.run_local = [&log](const TaskNode& n) {
-    log.push_back("local" + std::to_string(n.id));
-  };
-  hooks.run_comm = [&log](const TaskNode& n) {
-    log.push_back("comm" + std::to_string(n.id));
-  };
-  hooks.run_fused = [&log](const TaskNode& n, int count) {
-    log.push_back("fused" + std::to_string(n.id) + "x" +
-                  std::to_string(count));
-  };
-  if (postable) {
-    hooks.post_comm = [&log](const TaskNode& n) {
-      log.push_back("post" + std::to_string(n.id));
-      return sgmpi::Request{};
-    };
-    hooks.complete_comm = [&log](const TaskNode& n, sgmpi::Request&) {
-      log.push_back("complete" + std::to_string(n.id));
-    };
-  }
-  return hooks;
-}
-
 TEST(RankIndex, ScheduleMatchesWholeGraphScan) {
   for (const NamedGraph& ng : graphs_under_test()) {
     for (const Scheduler schedule :
@@ -587,119 +507,15 @@ TEST(RankIndex, ScheduleMatchesWholeGraphScan) {
         for (int r : graph_ranks(ng.graph)) {
           std::vector<std::string> expect, got;
           reference_run(ng.graph, r, schedule, window,
-                        recording_hooks(expect, ng.postable));
+                        recording_hooks(expect));
           taskgraph::run_graph(ng.graph, r, schedule, window,
-                               recording_hooks(got, ng.postable));
+                               recording_hooks(got));
           EXPECT_EQ(got, expect)
               << ng.name << " " << to_string(schedule) << " window "
               << window << " rank " << r;
         }
       }
     }
-  }
-}
-
-/// One numeric SUMMA run: gathered C plus every rank's report.
-struct SummaOutcome {
-  util::Matrix c;
-  std::vector<SummaReport> reports;
-};
-
-SummaOutcome run_summa(std::int64_t n, SummaConfig config,
-                       Scheduler scheduler) {
-  config.scheduler = scheduler;
-  const int p = config.pr * config.pc;
-  const auto platform = device::Platform::homogeneous(p);
-  const auto processors = platform.processors();
-  util::Matrix a(n, n), b(n, n);
-  util::fill_random(a, util::derive_seed(29, 1));
-  util::fill_random(b, util::derive_seed(29, 2));
-  std::vector<std::unique_ptr<SummaLocalData>> locals;
-  for (int r = 0; r < p; ++r) {
-    locals.push_back(std::make_unique<SummaLocalData>(n, config, r, a, b));
-  }
-  sgmpi::Config mpi_config;
-  mpi_config.nranks = p;
-  sgmpi::Runtime runtime(mpi_config);
-  SummaOutcome out;
-  out.reports.resize(static_cast<std::size_t>(p));
-  runtime.run([&](sgmpi::Comm& world) {
-    const std::size_t r = static_cast<std::size_t>(world.rank());
-    out.reports[r] =
-        summa_rank(world, n, config, processors[r], locals[r].get());
-  });
-  out.c = util::Matrix(n, n);
-  for (int r = 0; r < p; ++r) {
-    locals[static_cast<std::size_t>(r)]->gather_c(out.c);
-  }
-  return out;
-}
-
-TEST(StepChainSchedulerMatrix, SummaBitIdenticalAcrossSchedulers) {
-  const std::int64_t n = 100;
-  const SummaConfig config{2, 3, 32};
-  const SummaOutcome eager = run_summa(n, config, Scheduler::kEager);
-  const SummaOutcome other = run_summa(n, config, Scheduler::kTaskGraph);
-  EXPECT_EQ(util::Matrix::max_abs_diff(eager.c, other.c), 0.0);
-  for (std::size_t r = 0; r < eager.reports.size(); ++r) {
-    EXPECT_EQ(eager.reports[r].steps, other.reports[r].steps);
-    EXPECT_EQ(eager.reports[r].bcasts, other.reports[r].bcasts);
-    EXPECT_EQ(eager.reports[r].bcast_bytes, other.reports[r].bcast_bytes);
-    EXPECT_EQ(eager.reports[r].mpi_time_s, other.reports[r].mpi_time_s);
-    EXPECT_EQ(eager.reports[r].flops, other.reports[r].flops);
-  }
-}
-
-/// One numeric 2.5D run: layer-0 gathered C plus every rank's report.
-struct Summa25dOutcome {
-  util::Matrix c;
-  std::vector<Summa25dReport> reports;
-};
-
-Summa25dOutcome run_25d(std::int64_t n, Summa25dConfig config,
-                        Scheduler scheduler) {
-  config.scheduler = scheduler;
-  const int p = config.q * config.q * config.c;
-  const auto platform = device::Platform::homogeneous(p);
-  const auto processors = platform.processors();
-  util::Matrix a(n, n), b(n, n);
-  util::fill_random(a, util::derive_seed(31, 1));
-  util::fill_random(b, util::derive_seed(31, 2));
-  std::vector<std::unique_ptr<Summa25dLocalData>> locals;
-  for (int r = 0; r < p; ++r) {
-    locals.push_back(std::make_unique<Summa25dLocalData>(n, config, r, a, b));
-  }
-  sgmpi::Config mpi_config;
-  mpi_config.nranks = p;
-  sgmpi::Runtime runtime(mpi_config);
-  Summa25dOutcome out;
-  out.reports.resize(static_cast<std::size_t>(p));
-  runtime.run([&](sgmpi::Comm& world) {
-    const std::size_t r = static_cast<std::size_t>(world.rank());
-    out.reports[r] =
-        summa25d_rank(world, n, config, processors[r], locals[r].get());
-  });
-  out.c = util::Matrix(n, n);
-  for (int r = 0; r < config.q * config.q; ++r) {
-    locals[static_cast<std::size_t>(r)]->gather_c(out.c);
-  }
-  return out;
-}
-
-TEST(StepChainSchedulerMatrix, Summa25dBitIdenticalAcrossSchedulers) {
-  const std::int64_t n = 60;
-  const Summa25dConfig config{2, 3, 7};  // nothing divides anything
-  const Summa25dOutcome eager = run_25d(n, config, Scheduler::kEager);
-  const Summa25dOutcome other = run_25d(n, config, Scheduler::kTaskGraph);
-  EXPECT_EQ(util::Matrix::max_abs_diff(eager.c, other.c), 0.0);
-  for (std::size_t r = 0; r < eager.reports.size(); ++r) {
-    EXPECT_EQ(eager.reports[r].steps, other.reports[r].steps);
-    EXPECT_EQ(eager.reports[r].bcasts, other.reports[r].bcasts);
-    EXPECT_EQ(eager.reports[r].bcast_bytes, other.reports[r].bcast_bytes);
-    EXPECT_EQ(eager.reports[r].replication_bytes,
-              other.reports[r].replication_bytes);
-    EXPECT_EQ(eager.reports[r].reduce_bytes, other.reports[r].reduce_bytes);
-    EXPECT_EQ(eager.reports[r].mpi_time_s, other.reports[r].mpi_time_s);
   }
 }
 

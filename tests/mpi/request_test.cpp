@@ -245,6 +245,24 @@ TEST(RequestDeathTest, PendingRequestDestroyedFailsLoudly) {
       "pending ibcast\\(root\\) request destroyed without wait/test on "
       "comm 'world'");
 }
+
+TEST(RequestDeathTest, PendingSubgroupRequestNamesItsCommunicator) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        Runtime rt(small_config(3));
+        rt.run([](Comm& world) {
+          if (world.rank() == 2) return;  // rank 2 sits out
+          Comm pair = world.subgroup({0, 1});
+          double payload = 1.0;
+          Request r = pair.ibcast_bytes(&payload, sizeof(double), 0);
+          // The root drops its request without wait/test.
+          if (pair.rank() != 0) pair.wait(r);
+        });
+      },
+      "pending ibcast\\(root\\) request destroyed without wait/test on "
+      "comm 'subgroup#1'");
+}
 #endif
 
 }  // namespace
