@@ -2,8 +2,9 @@
 //
 // Substrate for the vendor DGEMM the paper delegates local computations to
 // (Intel MKL on the CPU/Phi, CUBLAS on the GPU). SummaGen's `localDgemm`
-// multiplies a (height x n) slice of WA by an (n x width) slice of WB, so
-// everything here takes explicit leading dimensions.
+// multiplies a (height x n) slice of WA by an (n x width) slice of WB,
+// here one block pair at a time, each read where it lives (in place or in
+// a receive slot), so everything takes explicit leading dimensions.
 //
 // Two implementations:
 //  * kNaive  - triple loop, the oracle used in tests;

@@ -8,7 +8,7 @@ namespace summagen::core {
 
 namespace {
 
-// WA and WB each start on a 64-byte line of the run's lease.
+// Every receive slot starts on a 64-byte line of the run's lease.
 constexpr std::int64_t kSliceAlign = 8;  // doubles
 
 std::int64_t align_up(std::int64_t doubles) {
@@ -74,6 +74,34 @@ bool LocalData::owns(int bi, int bj) const {
   return cells_.contains({bi, bj});
 }
 
+util::MatrixView LocalData::slot(const Slots& slots, const char* which,
+                                 int bi, int bj) const {
+  const auto it = slots.find({bi, bj});
+  if (it == slots.end()) {
+    throw std::out_of_range("LocalData: rank " + std::to_string(rank_) +
+                            " has no receive slot for " + which + "(" +
+                            std::to_string(bi) + "," + std::to_string(bj) +
+                            ")");
+  }
+  return it->second;
+}
+
+util::MatrixView LocalData::a_slot(int bi, int bk) const {
+  return slot(a_slots_, "A", bi, bk);
+}
+
+util::MatrixView LocalData::b_slot(int bk, int bj) const {
+  return slot(b_slots_, "B", bk, bj);
+}
+
+util::ConstMatrixView LocalData::a_block(int bi, int bk) const {
+  return owns(bi, bk) ? a_part(bi, bk) : a_slot(bi, bk);
+}
+
+util::ConstMatrixView LocalData::b_block(int bk, int bj) const {
+  return owns(bk, bj) ? b_part(bk, bj) : b_slot(bk, bj);
+}
+
 void LocalData::gather_c(util::Matrix& c_global) const {
   if (!numeric_) {
     throw std::logic_error("LocalData::gather_c on a modeled plane");
@@ -101,46 +129,51 @@ RunStores::RunStores(const partition::PartitionSpec& spec, int nranks,
       (c_global->rows() != spec.n || c_global->cols() != spec.n)) {
     throw std::invalid_argument("RunStores: global C must be n x n");
   }
-  // The paper's WA/WB extents: from the first to the last sub-partition
-  // row (column) the rank appears in. A rank owning nothing spans {0, 0}.
-  const std::int64_t n = spec.n;
-  const auto roff = spec.row_offsets();
-  const auto coff = spec.col_offsets();
-  struct Extent {
-    std::int64_t row0, rows, col0, cols;
-  };
-  std::vector<Extent> extents;
-  std::int64_t total = 0;
   for (int r = 0; r < nranks; ++r) {
-    const auto [myi, block_lda] = spec.row_span(r);
-    const auto [myj, block_ldb] = spec.col_span(r);
-    Extent e;
-    e.row0 = roff[static_cast<std::size_t>(myi)];
-    e.rows = roff[static_cast<std::size_t>(myi + block_lda)] - e.row0;
-    e.col0 = coff[static_cast<std::size_t>(myj)];
-    e.cols = coff[static_cast<std::size_t>(myj + block_ldb)] - e.col0;
-    total += align_up(e.rows * n) + align_up(n * e.cols);
-    extents.push_back(e);
+    locals_.push_back(
+        std::unique_ptr<LocalData>(new LocalData(spec, r, a, b, c_global)));
   }
 
-  // Deliberately not zeroed: the plan writes every region a DGEMM reads
-  // (all cells of a rank's block rows land in its WA and of its block
-  // columns in its WB before any chunk touches them) — including under
-  // recovery pruning, which keeps an A/B op whenever any surviving DGEMM
-  // reads its row/column.
+  // Slot layout, in a fixed order: every A row, then every B column; in a
+  // line, each owner ascending, then the line's blocks in order, skipping
+  // the owner's own. A single-owner line has no receiver.
+  struct Slot {
+    LocalData::Slots* slots;
+    std::pair<int, int> block;
+    std::int64_t rows, cols, offset;
+  };
+  std::vector<Slot> layout;
+  std::int64_t total = 0;
+  const auto add_line = [&](bool is_a, int line) {
+    const std::vector<int> owners =
+        is_a ? spec.ranks_in_row(line) : spec.ranks_in_col(line);
+    if (owners.size() < 2) return;
+    const int cross = is_a ? spec.subpldb : spec.subplda;
+    for (const int r : owners) {
+      LocalData& local = *locals_[static_cast<std::size_t>(r)];
+      for (int k = 0; k < cross; ++k) {
+        const int bi = is_a ? line : k;
+        const int bj = is_a ? k : line;
+        const std::int64_t h = spec.subph[static_cast<std::size_t>(bi)];
+        const std::int64_t w = spec.subpw[static_cast<std::size_t>(bj)];
+        if (h == 0 || w == 0 || spec.owner(bi, bj) == r) continue;
+        layout.push_back({is_a ? &local.a_slots_ : &local.b_slots_,
+                          {bi, bj}, h, w, total});
+        total += align_up(h * w);
+      }
+    }
+  };
+  for (int bi = 0; bi < spec.subplda; ++bi) add_line(/*is_a=*/true, bi);
+  for (int bj = 0; bj < spec.subpldb; ++bj) add_line(/*is_a=*/false, bj);
+
+  // Deliberately not zeroed: every slot a DGEMM reads is written by its
+  // broadcast first — also under recovery pruning, which keeps a
+  // broadcast whenever any surviving chunk reads its block.
   workspace_ = util::BufferPool::instance().acquire(
       static_cast<std::size_t>(total));
-  double* next = workspace_.data();
-  for (int r = 0; r < nranks; ++r) {
-    const Extent& e = extents[static_cast<std::size_t>(r)];
-    std::unique_ptr<LocalData> local(new LocalData(spec, r, a, b, c_global));
-    local->wa_row0_ = e.row0;
-    local->wb_col0_ = e.col0;
-    local->wa_ = util::MatrixView(next, e.rows, n, n);
-    next += align_up(e.rows * n);
-    local->wb_ = util::MatrixView(next, n, e.cols, e.cols);
-    next += align_up(n * e.cols);
-    locals_.push_back(std::move(local));
+  for (const Slot& s : layout) {
+    s.slots->emplace(s.block, util::MatrixView(workspace_.data() + s.offset,
+                                               s.rows, s.cols, s.cols));
   }
 }
 
@@ -155,8 +188,10 @@ void RunStores::gather_c(util::Matrix& c_global) const {
 
 void RunStores::release_workspace() {
   for (const auto& local : locals_) {
-    local->wa_ = {};
-    local->wb_ = {};
+    for (auto* slots : {&local->a_slots_, &local->b_slots_}) {
+      for (auto& [block, view] : *slots) view = {};
+    }
+    local->released_ = true;
   }
   workspace_.release();
 }

@@ -16,8 +16,8 @@ int root_index(const std::vector<int>& members, int world_rank) {
   throw std::logic_error("summagen: sub-partition owner not in its row/col");
 }
 
-/// Emits the panel broadcasts (or the local copies, for a single owner) of
-/// one sub-partition row of A (is_a) or column of B.
+/// Emits the panel broadcasts of one sub-partition row of A (is_a) or
+/// column of B; nothing for a line with a single owner.
 void emit_line(const partition::PartitionSpec& spec,
                const SummaGenOptions& options, bool is_a, int line,
                ExecutionPlan& plan) {
@@ -27,6 +27,7 @@ void emit_line(const partition::PartitionSpec& spec,
   if (line_extent == 0) return;
   const std::vector<int> owners =
       is_a ? spec.ranks_in_row(line) : spec.ranks_in_col(line);
+  if (owners.size() == 1) return;
   const int cross = is_a ? spec.subpldb : spec.subplda;
   int group = -1;  // registered with the line's first broadcast
 
@@ -36,11 +37,6 @@ void emit_line(const partition::PartitionSpec& spec,
     const std::int64_t h = spec.subph[static_cast<std::size_t>(bi)];
     const std::int64_t w = spec.subpw[static_cast<std::size_t>(bj)];
     if (h == 0 || w == 0) continue;
-
-    if (owners.size() == 1) {
-      plan.copy_ops.push_back({is_a, bi, bj});
-      continue;
-    }
 
     if (group < 0) {
       group = static_cast<int>(plan.groups.size());

@@ -4,8 +4,9 @@
 // execution inside three monolithic stage functions. The plan splits the
 // two: `build_plan` derives, once per run and identically on every rank,
 // the complete list of communication operations (panel broadcasts of A and
-// B sub-partitions over their row/column subgroups), purely-local copies
-// (rows/columns with a single owner), and local DGEMMs. The task graph
+// B sub-partitions over their row/column subgroups) and local DGEMMs. A
+// row or column with a single owner moves nothing: its owner reads those
+// blocks in place (src/core/dataplane.hpp). The task graph
 // built from it (src/core/taskgraph/) is then executed by a scheduler —
 // `kEager` in the paper's strict phase order, or `kTaskGraph` with
 // non-blocking broadcasts overlapping DGEMM execution.
@@ -52,14 +53,6 @@ struct CommOp {
   int owner = 0;   ///< world rank owning the sub-partition
 };
 
-/// Local copy of an owned sub-partition into WA/WB (single-owner row or
-/// column: no communication, zero virtual cost).
-struct CopyOp {
-  bool is_a = true;
-  int bi = 0;
-  int bj = 0;
-};
-
 /// One k-interval of a GemmOp, runnable as soon as a prefix of `comm_ops`
 /// has completed. Chunks of one GemmOp are contiguous, cover [0, n), and
 /// have strictly increasing `dep` (maximal equal-dep intervals are merged).
@@ -67,7 +60,7 @@ struct GemmChunk {
   std::int64_t k0 = 0;  ///< first shared-dimension index
   std::int64_t k1 = 0;  ///< one past the last shared-dimension index
   /// Index into `comm_ops` of the last operation this chunk reads from;
-  /// -1 when every input is locally owned (copies).
+  /// -1 when every block it reads lies on a single-owner line.
   int dep = -1;
 };
 
@@ -81,7 +74,6 @@ struct GemmOp {
 
 struct ExecutionPlan {
   std::vector<CommOp> comm_ops;  ///< eager global order (A rows, then B cols)
-  std::vector<CopyOp> copy_ops;  ///< order-free (no virtual cost)
   std::vector<GemmOp> gemm_ops;  ///< row-major (bi, bj) — the eager order
   /// One owner list (world ranks, ascending) per broadcasting line — an A
   /// row or B column with more than one owner — in comm_ops order. Every

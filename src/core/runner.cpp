@@ -240,7 +240,7 @@ ExperimentResult run_pmm(const ExperimentConfig& config) {
     // gather is a no-op. Fault-tolerant runs must keep a private pooled C
     // per phase — a re-executed phase accumulates its cells from zero, and
     // only copy_cell_c decides which phase's value survives. Either way
-    // every rank's WA and WB are slices of the one workspace lease the
+    // every rank's receive slots are slices of the one workspace lease the
     // stores take here, inside the accounting window.
     stores = RunStores(result.spec, p, a, b, fault_tolerant ? nullptr : &c);
   }
@@ -384,7 +384,7 @@ ExperimentResult run_pmm(const ExperimentConfig& config) {
               // First survivor out of the shrink builds the next phase; the
               // completed-cell set is stable here because every live rank
               // has unwound into the shrink gate — and with it out of the
-              // finished phase's WA/WB.
+              // finished phase's receive slots.
               bool drift_round = false;
               for (const sgmpi::FaultEvent& ev : res.handled) {
                 if (ev.kind == sgmpi::FaultKind::kDrift) drift_round = true;
@@ -439,8 +439,9 @@ ExperimentResult run_pmm(const ExperimentConfig& config) {
               }
               if (config.numeric) {
                 // Swap the finished phase's workspace lease for one over
-                // the survivors' extents (dead ranks own nothing in the new
-                // spec). Its private C stays leased until the gather.
+                // the survivors' receive slots (dead ranks own nothing in
+                // the new spec). Its private C stays leased until the
+                // gather.
                 phases[round]->stores.release_workspace();
                 np->stores = RunStores(np->spec, p, a, b);
               }

@@ -154,41 +154,23 @@ SharedSchedule shared_schedule(const partition::PartitionSpec& spec,
 
 /// Per-rank geometry shared by every plan step executor: the row/column
 /// offsets the shared plan keeps once and, on the numeric plane, the
-/// rank's WA/WB slices of the run's workspace lease (RunStores).
+/// rank's store (RunStores).
 struct Frame {
   const partition::PartitionSpec& spec;
-  LocalData* data;      ///< nullptr on the modeled plane
-  util::MatrixView wa;  ///< my_rows x n workspace (empty on modeled plane)
-  util::MatrixView wb;  ///< n x my_cols workspace (empty on modeled plane)
+  LocalData* data;  ///< nullptr on the modeled plane
   const std::vector<std::int64_t>& roff;  ///< ExecutionPlan::roff
   const std::vector<std::int64_t>& coff;  ///< ExecutionPlan::coff
-  std::int64_t wa_base = 0;  ///< first matrix row covered by WA
-  std::int64_t wb_base = 0;  ///< first matrix column covered by WB
 
   Frame(const partition::PartitionSpec& spec_in, const ExecutionPlan& plan,
         LocalData* data_in)
-      : spec(spec_in), data(data_in), roff(plan.roff), coff(plan.coff) {
-    if (data != nullptr) {
-      wa = data->wa();
-      wb = data->wb();
-      wa_base = data->wa_row0();
-      wb_base = data->wb_col0();
-    }
-  }
+      : spec(spec_in), data(data_in), roff(plan.roff), coff(plan.coff) {}
 
-  /// Destination of panel rows [op.p0, op.p0 + op.rows) of `op`'s payload
-  /// inside WA (A ops) or WB (B ops).
+  /// Where a receiver lands panel rows [op.p0, op.p0 + op.rows) of `op`'s
+  /// payload: its receive slot for the block.
   util::MatrixView dest(const CommOp& op) const {
-    if (op.is_a) {
-      const std::int64_t row0 =
-          roff[static_cast<std::size_t>(op.bi)] - wa_base + op.p0;
-      return wa.subview(row0, coff[static_cast<std::size_t>(op.bj)], op.rows,
-                        op.width);
-    }
-    const std::int64_t col0 =
-        coff[static_cast<std::size_t>(op.bj)] - wb_base;
-    return wb.subview(roff[static_cast<std::size_t>(op.bi)] + op.p0, col0,
-                      op.rows, op.width);
+    const util::MatrixView slot =
+        op.is_a ? data->a_slot(op.bi, op.bj) : data->b_slot(op.bi, op.bj);
+    return slot.subview(op.p0, 0, op.rows, op.width);
   }
 
   /// The owner's payload for `op`, viewed in place inside the global
@@ -198,29 +180,39 @@ struct Frame {
         op.is_a ? data->a_part(op.bi, op.bj) : data->b_part(op.bi, op.bj);
     return part.subview(op.p0, 0, op.rows, op.width);
   }
-};
 
-/// Executes a single-owner local copy (zero virtual cost).
-void exec_copy(const Frame& frame, const CopyOp& op) {
-  if (frame.data == nullptr) return;
-  const std::int64_t h = frame.spec.subph[static_cast<std::size_t>(op.bi)];
-  const std::int64_t w = frame.spec.subpw[static_cast<std::size_t>(op.bj)];
-  if (op.is_a) {
-    const std::int64_t row0 =
-        frame.roff[static_cast<std::size_t>(op.bi)] - frame.wa_base;
-    util::copy_view(frame.data->a_part(op.bi, op.bj),
-                    frame.wa.subview(
-                        row0, frame.coff[static_cast<std::size_t>(op.bj)], h,
-                        w));
-  } else {
-    const std::int64_t col0 =
-        frame.coff[static_cast<std::size_t>(op.bj)] - frame.wb_base;
-    util::copy_view(frame.data->b_part(op.bi, op.bj),
-                    frame.wb.subview(
-                        frame.roff[static_cast<std::size_t>(op.bi)], col0, h,
-                        w));
+  /// Numerically C(g) += A(g.bi, [k0, k1)) * B([k0, k1), g.bj): one
+  /// run_gemm per k-segment between consecutive A column-block and B
+  /// row-block boundaries, each reading its blocks where they live
+  /// (LocalData::a_block / b_block). Every kernel accumulates each C
+  /// element in ascending k with exact stores between calls, so the split
+  /// changes no bit of C. run_gemm's costs price standalone segment
+  /// kernels and are dropped: the caller charges the modeled kernel.
+  void run_segments(const device::AbstractProcessor& ap, const GemmOp& g,
+                    std::int64_t k0, std::int64_t k1, bool contended) const {
+    const std::int64_t h = spec.subph[static_cast<std::size_t>(g.bi)];
+    const std::int64_t w = spec.subpw[static_cast<std::size_t>(g.bj)];
+    const partition::Rect& cr = data->c_rect();
+    const util::MatrixView cv = data->c();
+    double* cptr =
+        cv.data() + (roff[static_cast<std::size_t>(g.bi)] - cr.row0) * cv.ld() +
+        (coff[static_cast<std::size_t>(g.bj)] - cr.col0);
+    std::size_t cb = 0;  // A column block holding k
+    std::size_t rb = 0;  // B row block holding k
+    for (std::int64_t k = k0; k < k1;) {
+      while (coff[cb + 1] <= k) ++cb;
+      while (roff[rb + 1] <= k) ++rb;
+      const std::int64_t end = std::min({k1, coff[cb + 1], roff[rb + 1]});
+      const util::ConstMatrixView a =
+          data->a_block(g.bi, static_cast<int>(cb));
+      const util::ConstMatrixView b =
+          data->b_block(static_cast<int>(rb), g.bj);
+      ap.run_gemm(h, w, end - k, a.data() + (k - coff[cb]), a.ld(),
+                  b.row(k - roff[rb]), b.ld(), cptr, cv.ld(), contended);
+      k = end;
+    }
   }
-}
+};
 
 /// Executes one local DGEMM of the plan. When `ft` carries a drift profile
 /// the modeled time additionally scales by the drift factor sampled at the
@@ -234,23 +226,11 @@ void exec_gemm(sgmpi::Comm& world, const Frame& frame,
   const std::int64_t h = spec.subph[static_cast<std::size_t>(g.bi)];
   const std::int64_t w = spec.subpw[static_cast<std::size_t>(g.bj)];
 
-  device::KernelCost cost;
-  if (frame.data == nullptr) {
-    cost = ap.kernel_cost(h, w, spec.n, contended);
-  } else {
-    const partition::Rect& cr = frame.data->c_rect();
-    const std::int64_t wa_row0 =
-        frame.roff[static_cast<std::size_t>(g.bi)] - frame.wa_base;
-    const std::int64_t wb_col0 =
-        frame.coff[static_cast<std::size_t>(g.bj)] - frame.wb_base;
-    const util::MatrixView cv = frame.data->c();
-    double* cptr = cv.data() +
-                   (frame.roff[static_cast<std::size_t>(g.bi)] - cr.row0) *
-                       cv.ld() +
-                   (frame.coff[static_cast<std::size_t>(g.bj)] - cr.col0);
-    cost = ap.run_gemm(h, w, spec.n, frame.wa.row(wa_row0), frame.wa.ld(),
-                       frame.wb.data() + wb_col0, frame.wb.ld(), cptr,
-                       cv.ld(), contended);
+  // The whole (h, w, n) kernel is charged once, however many segments
+  // compute it.
+  device::KernelCost cost = ap.kernel_cost(h, w, spec.n, contended);
+  if (frame.data != nullptr) {
+    frame.run_segments(ap, g, 0, spec.n, contended);
   }
 
   // A planned rank-slowdown fault scales the device's modeled time; the
@@ -316,22 +296,7 @@ void exec_gemm_chunk(sgmpi::Comm& world, const Frame& frame,
   const std::int64_t kc = ch.k1 - ch.k0;
 
   if (frame.data != nullptr) {
-    const partition::Rect& cr = frame.data->c_rect();
-    const std::int64_t wa_row0 =
-        frame.roff[static_cast<std::size_t>(g.bi)] - frame.wa_base;
-    const std::int64_t wb_col0 =
-        frame.coff[static_cast<std::size_t>(g.bj)] - frame.wb_base;
-    const util::MatrixView cv = frame.data->c();
-    double* cptr = cv.data() +
-                   (frame.roff[static_cast<std::size_t>(g.bi)] - cr.row0) *
-                       cv.ld() +
-                   (frame.coff[static_cast<std::size_t>(g.bj)] - cr.col0);
-    // run_gemm accumulates (beta = 1); its returned cost describes a
-    // standalone (h, w, kc) kernel and is discarded in favour of `full`'s
-    // pro-rata share.
-    ap.run_gemm(h, w, kc, frame.wa.row(wa_row0) + ch.k0, frame.wa.ld(),
-                frame.wb.row(ch.k0) + wb_col0, frame.wb.ld(), cptr, cv.ld(),
-                contended);
+    frame.run_segments(ap, g, ch.k0, ch.k1, contended);
   }
 
   const double share =
@@ -387,10 +352,10 @@ RankReport summagen_rank(sgmpi::Comm& world,
     throw std::invalid_argument(
         "summagen_rank: pass nullptr for the modeled plane");
   }
-  if (data != nullptr && data->wa().cols() != spec.n) {
+  if (data != nullptr && data->workspace_released()) {
     throw std::invalid_argument(
-        "summagen_rank: no n-column WA in the rank's store (its "
-        "workspace was released, or the stores are for another spec)");
+        "summagen_rank: the rank's store has no receive slots (its "
+        "workspace was released)");
   }
   const int rank = world.rank();
 
@@ -456,10 +421,6 @@ RankReport summagen_rank(sgmpi::Comm& world,
 
   taskgraph::ExecHooks hooks;
   hooks.run_local = [&](const taskgraph::TaskNode& node) {
-    if (node.kind == taskgraph::NodeKind::kCopy) {
-      exec_copy(frame, plan.copy_ops[static_cast<std::size_t>(node.payload)]);
-      return;
-    }
     if (shed) return;
     const GemmOp& g = plan.gemm_ops[static_cast<std::size_t>(node.payload)];
     const GemmChunk& ch = g.chunks[static_cast<std::size_t>(node.aux)];
@@ -494,11 +455,10 @@ RankReport summagen_rank(sgmpi::Comm& world,
       report.mpi_time_s += group.bcast_bytes(nullptr, op.bytes, op.root);
     } else if (op.owner == rank) {
       // The owner broadcasts its sub-partition viewed in place inside the
-      // global operand; the transport lands its own copy in WA/WB too.
-      report.mpi_time_s +=
-          group.bcast_panel(frame.owned_src(op), frame.dest(op), op.root);
+      // global operand and stores nothing: it reads the block in place.
+      report.mpi_time_s += group.bcast_panel(frame.owned_src(op), {}, op.root);
     } else {
-      // Receivers copy straight from the root's view into WA/WB — no
+      // Receivers copy straight from the root's view into their slot — no
       // contiguous staging buffer on either side.
       report.mpi_time_s += group.bcast_panel({}, frame.dest(op), op.root);
     }
@@ -512,8 +472,7 @@ RankReport summagen_rank(sgmpi::Comm& world,
     if (frame.data == nullptr) {
       request = group.ibcast_bytes(nullptr, op.bytes, op.root);
     } else if (op.owner == rank) {
-      request =
-          group.ibcast_panel(frame.owned_src(op), frame.dest(op), op.root);
+      request = group.ibcast_panel(frame.owned_src(op), {}, op.root);
     } else {
       request = group.ibcast_panel({}, frame.dest(op), op.root);
     }
@@ -523,8 +482,8 @@ RankReport summagen_rank(sgmpi::Comm& world,
   };
   hooks.complete_comm = [&](const taskgraph::TaskNode& node,
                             sgmpi::Request& request) {
-    // The wait itself lands the panel in WA/WB (receivers gather from the
-    // root's view, the root stores its own window).
+    // The wait itself lands the panel in the receivers' slots (they
+    // gather from the root's view).
     report.mpi_time_s += group_comm(node).wait(request);
   };
 

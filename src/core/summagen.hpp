@@ -7,21 +7,26 @@
 //
 //   1. Horizontal communications of A (Figure 2): for every sub-partition
 //      row the rank appears in, every sub-partition of that row is
-//      broadcast across the row's owners (or copied locally when a single
-//      processor owns the whole row), accumulating into the working matrix
-//      WA (covering rows x n).
+//      broadcast across the row's owners (nothing moves when a single
+//      processor owns the whole row). The paper lands the whole row in a
+//      working matrix WA (covering rows x n); here each rank stores only
+//      the blocks it receives, one receive slot each, and reads its own
+//      blocks in place.
 //   2. Vertical communications of B (Figure 3): symmetric, down the
-//      sub-partition columns, into WB (n x covering columns).
+//      sub-partition columns (the paper's WB, n x covering columns).
 //   3. Local computations (Figure 4): one DGEMM per *owned* sub-partition
 //      (height x n) * (n x width) — computing per sub-partition rather than
-//      WA*WB avoids redundantly computing cells owned by other ranks.
+//      WA*WB avoids redundantly computing cells owned by other ranks. It
+//      runs as one kernel call per k-segment between block boundaries, each
+//      reading its A and B blocks where they live, and is charged as one
+//      (height x width x n) kernel.
 //
 // The function is data-plane agnostic: with a numeric LocalData it moves
 // and multiplies real doubles; with `data == nullptr` it performs the same
 // communication schedule with null payloads and only advances the virtual
 // clocks (benches at paper-scale N). It allocates no workspace: a numeric
-// rank's WA and WB are its slices of the one lease its RunStores holds for
-// all ranks of the run (src/core/dataplane.hpp).
+// rank's receive slots are its slices of the one lease its RunStores holds
+// for all ranks of the run (src/core/dataplane.hpp).
 #pragma once
 
 #include <cstdint>
@@ -67,10 +72,12 @@ Scheduler parse_scheduler(const std::string& name);
 /// Execution options shared by all ranks of a run.
 struct SummaGenOptions {
   /// Split every sub-partition broadcast into row panels of at most this
-  /// many rows (the paper's "blocks of size r" made operational): bounds
-  /// the temporary receive buffer at panel * width elements at the cost of
-  /// more broadcast latencies. 0 = broadcast whole sub-partitions (the
-  /// paper's Figures 2-3 behaviour).
+  /// many rows (the paper's "blocks of size r" made operational): more and
+  /// smaller broadcasts moving the same bytes (each panel lands straight in
+  /// the receiver's slot, so no buffer shrinks), and finer chunk
+  /// dependencies for kTaskGraph to overlap, at the cost of more broadcast
+  /// latencies. 0 = broadcast whole sub-partitions (the paper's Figures 2-3
+  /// behaviour).
   std::int64_t bcast_panel_rows = 0;
 
   Scheduler scheduler = Scheduler::kEager;
@@ -102,7 +109,7 @@ struct RankReport {
 struct FtContext {
   /// C sub-partitions already completed by earlier recovery phases. When
   /// non-empty the task graph is pruned (taskgraph::prune_completed):
-  /// their DGEMM chunks are dropped, and with them every broadcast/copy
+  /// their DGEMM chunks are dropped, and with them every broadcast
   /// feeding only finished cells. The first rank of a phase prunes; the
   /// others read the same pruned graph. Node ids — and with them the
   /// chunk->broadcast dependencies — survive pruning, so recovery phases
@@ -138,8 +145,8 @@ struct FtContext {
 /// `world` must have one rank per processor named in `spec`; `ap` is this
 /// rank's abstract processor (its performance model prices the local
 /// DGEMMs). `data` selects the plane: this rank's LocalData from a
-/// RunStores over `spec` (which owns its WA/WB), or nullptr for the
-/// modeled plane. `contended` mirrors the paper's
+/// RunStores over `spec` (which owns its receive slots), or nullptr for
+/// the modeled plane. `contended` mirrors the paper's
 /// simultaneous-load measurement methodology. `ft` (optional) wires the
 /// fault-tolerant runner in: completed-cell tracking plus re-execution of
 /// only the unfinished plan ops. Under a fault plan the execution polls for

@@ -93,21 +93,18 @@ void run_program(const TaskGraph& graph, int rank, const ExecHooks& hooks) {
       hooks.run_comm(n);
       continue;
     }
-    if (n.kind == NodeKind::kGemm) {
-      // Fuse the consecutive chunk chain of this op into one whole-kernel
-      // call — the historical eager executor's single charge per DGEMM.
-      std::size_t count = 1;
-      while (i + count < mine.size() &&
-             mine[i + count] == n.id + static_cast<int>(count)) {
-        const TaskNode& next = nodes[static_cast<std::size_t>(n.id) + count];
-        if (next.kind != NodeKind::kGemm || next.payload != n.payload) break;
-        ++count;
-      }
-      hooks.run_fused(n, static_cast<int>(count));
-      i += count - 1;
-      continue;
+    // A local node is a kGemm chunk: fuse the consecutive chunk chain of
+    // its op into one whole-kernel call — the historical eager executor's
+    // single charge per DGEMM.
+    std::size_t count = 1;
+    while (i + count < mine.size() &&
+           mine[i + count] == n.id + static_cast<int>(count)) {
+      const TaskNode& next = nodes[static_cast<std::size_t>(n.id) + count];
+      if (next.kind != NodeKind::kGemm || next.payload != n.payload) break;
+      ++count;
     }
-    hooks.run_local(n);
+    hooks.run_fused(n, static_cast<int>(count));
+    i += count - 1;
   }
 }
 

@@ -49,7 +49,7 @@ namespace summagen::core::taskgraph {
 
 /// Node execution callbacks, all five required (run_graph throws
 /// std::logic_error on a missing one):
-///  * run_local — a local node (kCopy; a kGemm chunk under kTaskGraph).
+///  * run_local — kTaskGraph: one kGemm chunk, the only local node kind.
 ///  * run_comm — kEager: a comm node, blocking.
 ///  * run_fused — kEager: a full consecutive chain of kGemm chunk nodes of
 ///    one op as a single whole-kernel call (the historical eager charge).

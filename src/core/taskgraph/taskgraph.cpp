@@ -319,26 +319,15 @@ TaskGraph build_summagen_graph(const partition::PartitionSpec& spec,
   TaskGraph g;
   std::size_t nchunks = 0;
   for (const GemmOp& gop : plan.gemm_ops) nchunks += gop.chunks.size();
-  g.reserve(plan.copy_ops.size() + plan.comm_ops.size() + nchunks);
+  g.reserve(plan.comm_ops.size() + nchunks);
   for (const std::vector<int>& owners : plan.groups) g.add_group(owners);
   const std::vector<std::int64_t>& roff = plan.roff;
   const std::vector<std::int64_t>& coff = plan.coff;
 
-  // Copy nodes first (ids 0..|copy_ops|-1, plan order), indexed by cell so
-  // chunk nodes can depend on the copies feeding them — the cascade prune
-  // needs copy->chunk edges just like comm->chunk edges.
-  std::map<std::pair<int, int>, int> a_copy, b_copy;
-  for (std::size_t i = 0; i < plan.copy_ops.size(); ++i) {
-    const CopyOp& op = plan.copy_ops[i];
-    const int id = g.add_local(NodeKind::kCopy, spec.owner(op.bi, op.bj),
-                               static_cast<int>(i));
-    (op.is_a ? a_copy : b_copy)[{op.bi, op.bj}] = id;
-  }
-
-  // Comm nodes next, in plan order: node id = |copy_ops| + plan index, so
-  // ascending-id completion preserves the plan's subgroup collective
-  // order. A panels indexed by cell (a chunk reads every panel of the
-  // cells its k-interval crosses); B panels by column with their k-span.
+  // Comm nodes first, in plan order: node id = plan index, so ascending-id
+  // completion preserves the plan's subgroup collective order. A panels
+  // indexed by cell (a chunk reads every panel of the cells its k-interval
+  // crosses); B panels by column with their k-span.
   std::map<std::pair<int, int>, std::vector<int>> a_comm;
   struct BSpan {
     std::int64_t k0, k1;
@@ -356,20 +345,16 @@ TaskGraph build_summagen_graph(const partition::PartitionSpec& spec,
     }
   }
 
-  // Chunk nodes last, grouped per GemmOp in plan order. Each chunk reads
+  // Chunk nodes next, grouped per GemmOp in plan order. Each chunk reads
   // the A cells of row bi whose column blocks cross [k0, k1), the B panels
   // of column bj crossing it, and chains on the previous chunk of its op —
   // accumulation into C(bi, bj) must stay in ascending-k order for the
-  // bit-identity invariant.
+  // bit-identity invariant. Blocks of a single-owner line have no node:
+  // their owner reads them in place.
   //
-  // The blocks crossing [k0, k1) — off[b] < k1 and off[b + 1] > k0 — are
-  // a contiguous run of the nondecreasing offsets, found by bisection.
-  const auto crossing = [](const std::vector<std::int64_t>& off,
-                           std::int64_t k0) {
-    return static_cast<int>(
-        std::upper_bound(off.begin() + 1, off.end(), k0) - off.begin() - 1);
-  };
-  const int nrow_blk = static_cast<int>(spec.subph.size());
+  // The column blocks crossing [k0, k1) — coff[b] < k1 and
+  // coff[b + 1] > k0 — are a contiguous run of the nondecreasing offsets,
+  // found by bisection.
   const int ncol_blk = static_cast<int>(spec.subpw.size());
   for (std::size_t gi = 0; gi < plan.gemm_ops.size(); ++gi) {
     const GemmOp& gop = plan.gemm_ops[gi];
@@ -380,25 +365,18 @@ TaskGraph build_summagen_graph(const partition::PartitionSpec& spec,
                                  static_cast<int>(gi), static_cast<int>(ci));
       if (prev >= 0) g.add_dep(prev, id);
       prev = id;
-      for (int cb = crossing(coff, ch.k0);
-           cb < ncol_blk && coff[static_cast<std::size_t>(cb)] < ch.k1;
+      int cb = static_cast<int>(
+          std::upper_bound(coff.begin() + 1, coff.end(), ch.k0) -
+          coff.begin() - 1);
+      for (; cb < ncol_blk && coff[static_cast<std::size_t>(cb)] < ch.k1;
            ++cb) {
         if (auto it = a_comm.find({gop.bi, cb}); it != a_comm.end()) {
           for (int nid : it->second) g.add_dep(nid, id);
-        } else if (auto ic = a_copy.find({gop.bi, cb}); ic != a_copy.end()) {
-          g.add_dep(ic->second, id);
         }
       }
       if (auto it = b_comm.find(gop.bj); it != b_comm.end()) {
         for (const BSpan& s : it->second) {
           if (s.k0 < ch.k1 && s.k1 > ch.k0) g.add_dep(s.node, id);
-        }
-      }
-      for (int rb = crossing(roff, ch.k0);
-           rb < nrow_blk && roff[static_cast<std::size_t>(rb)] < ch.k1;
-           ++rb) {
-        if (auto ib = b_copy.find({rb, gop.bj}); ib != b_copy.end()) {
-          g.add_dep(ib->second, id);
         }
       }
     }
@@ -416,12 +394,12 @@ void prune_completed(TaskGraph& graph, const ExecutionPlan& plan,
     const GemmOp& gop = plan.gemm_ops[static_cast<std::size_t>(n.payload)];
     if (done.count({gop.bi, gop.bj}) != 0) graph.drop(n.id);
   }
-  // A broadcast/copy survives iff some remaining DGEMM still reads it.
+  // A broadcast survives iff some remaining DGEMM still reads it.
   // Every panel of row bi feeds a chunk of every DGEMM in row bi (a DGEMM
   // reads its whole row line), so this is exactly the historical rule
   // "keep an A op iff its row has a surviving DGEMM" (B: column).
   for (const TaskNode& n : nodes) {
-    if (n.kind != NodeKind::kBcast && n.kind != NodeKind::kCopy) continue;
+    if (n.kind != NodeKind::kBcast) continue;
     const auto succs = graph.succs(n.id);
     const bool live_succ = std::any_of(succs.begin(), succs.end(), [&](int s) {
       return !nodes[static_cast<std::size_t>(s)].dropped;

@@ -1,9 +1,9 @@
 // Data-dependency task graph of a SummaGen execution.
 //
 // The task graph splits *what must happen before what* from *when it
-// happens*: nodes are sub-partition broadcasts, single-owner local copies
-// and k-chunked GEMM accumulations; edges are read dependencies plus each
-// DGEMM's ascending-k chunk chain. Schedulers
+// happens*: nodes are sub-partition broadcasts and k-chunked GEMM
+// accumulations; edges are read dependencies plus each DGEMM's ascending-k
+// chunk chain. Schedulers
 // (src/core/taskgraph/executor.hpp) then execute any legal topological
 // order — the eager schedule is the construction order of the graph, and
 // the dataflow scheduler runs whatever is ready. (SUMMA and 2.5D have one
@@ -38,20 +38,19 @@
 namespace summagen::core::taskgraph {
 
 /// What a node does when executed. kBcast, the comm kind, names its
-/// participating ranks through `group`; local kinds carry the executing
-/// rank in `owner`.
+/// participating ranks through `group`; kGemm, the local kind, carries the
+/// executing rank in `owner`.
 enum class NodeKind : std::uint8_t {
   kBcast,  ///< sub-partition (panel) broadcast over a subgroup communicator
-  kCopy,   ///< single-owner local copy into WA/WB (zero virtual cost)
   kGemm,   ///< one k-chunk of a local DGEMM accumulation
 };
 
 /// One node of the graph: a plain 24-byte record with no heap members.
 /// Edges and owner lists live in the graph (TaskGraph::preds/succs/owners).
-/// `payload` is the node's plan op index (copy_ops, comm_ops or gemm_ops
-/// by kind) and `aux` a kGemm node's chunk index.
+/// `payload` is the node's plan op index (comm_ops or gemm_ops by kind)
+/// and `aux` a kGemm node's chunk index.
 struct TaskNode {
-  NodeKind kind = NodeKind::kCopy;
+  NodeKind kind = NodeKind::kGemm;
   bool dropped = false;  ///< pruned by recovery; executors skip it
   int id = -1;
   int owner = -1;  ///< executing world rank (local nodes; -1 for comm)
@@ -148,19 +147,19 @@ class TaskGraph {
   bool sealed_ = false;
 };
 
-/// Builds the SummaGen graph from the per-rank identical plan: one kCopy
-/// node per CopyOp, one kBcast node per CommOp (in plan order, preserving
-/// the subgroup collective order), and one kGemm node per GemmChunk.
-/// Graph group g is plan.groups[g], so a comm node's `group` equals its
-/// CommOp's. Chunk nodes depend on every panel/copy covering their
-/// k-interval and on the previous chunk of the same GemmOp (the
-/// ascending-k accumulation chain that keeps every schedule
-/// bit-identical). Returns a sealed, validated graph.
+/// Builds the SummaGen graph from the per-rank identical plan: one kBcast
+/// node per CommOp (node id = plan index, so the subgroup collective order
+/// is preserved) and one kGemm node per GemmChunk. Graph group g is
+/// plan.groups[g], so a comm node's `group` equals its CommOp's. Chunk
+/// nodes depend on every panel covering their k-interval and on the
+/// previous chunk of the same GemmOp (the ascending-k accumulation chain
+/// that keeps every schedule bit-identical). Returns a sealed, validated
+/// graph.
 TaskGraph build_summagen_graph(const partition::PartitionSpec& spec,
                                const ExecutionPlan& plan);
 
 /// Recovery pruning: drops every kGemm node whose C cell is in `done`,
-/// then every kBcast/kCopy node left without a live successor (its row or
+/// then every kBcast node left without a live successor (its row or
 /// column has no unfinished DGEMM). Node ids are untouched, so the
 /// remaining dependencies — including the comm completion order — stay
 /// valid for all schedulers. The ranks of a recovery phase share one

@@ -105,30 +105,6 @@ std::vector<int> PartitionSpec::ranks_in_col(int bj) const {
   return out;
 }
 
-std::pair<int, int> PartitionSpec::row_span(int rank) const {
-  int first = -1, last = -1;
-  for (int bi = 0; bi < subplda; ++bi) {
-    if (row_contains(rank, bi)) {
-      if (first < 0) first = bi;
-      last = bi;
-    }
-  }
-  if (first < 0) return {0, 0};
-  return {first, last - first + 1};
-}
-
-std::pair<int, int> PartitionSpec::col_span(int rank) const {
-  int first = -1, last = -1;
-  for (int bj = 0; bj < subpldb; ++bj) {
-    if (col_contains(rank, bj)) {
-      if (first < 0) first = bj;
-      last = bj;
-    }
-  }
-  if (first < 0) return {0, 0};
-  return {first, last - first + 1};
-}
-
 std::int64_t PartitionSpec::area_of(int rank) const {
   std::int64_t area = 0;
   for (int bi = 0; bi < subplda; ++bi) {

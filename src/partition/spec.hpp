@@ -65,12 +65,6 @@ struct PartitionSpec {
   std::vector<int> ranks_in_row(int bi) const;
   std::vector<int> ranks_in_col(int bj) const;
 
-  /// First sub-partition row containing `rank` and the count of rows from
-  /// there to the last containing row (the paper's `myi` / `block_lda`).
-  /// Returns {0, 0} for a rank owning nothing.
-  std::pair<int, int> row_span(int rank) const;
-  std::pair<int, int> col_span(int rank) const;
-
   /// Zone area A(Z_rank) in elements.
   std::int64_t area_of(int rank) const;
 

@@ -1,8 +1,8 @@
 // Process-wide size-classed pool for transient double workspaces.
 //
 // The data plane needs short-lived scratch buffers constantly — GEMM pack
-// panels, broadcast staging for strided sub-partitions, a run's WA/WB
-// workspace lease, OOC device slabs. Allocating them with std::vector
+// panels, broadcast staging for strided sub-partitions, a run's receive-
+// slot workspace lease, OOC device slabs. Allocating them with std::vector
 // meant a malloc + zero-fill per use (and, for the old thread_local pack
 // buffers, memory retained forever on every pool worker). The BufferPool
 // serves these from power-of-two size-classed freelists: steady-state

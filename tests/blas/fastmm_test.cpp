@@ -357,17 +357,22 @@ TEST(FastMmPooling, WarmParallelRunStaysNearZeroAlloc) {
     dgemm(n, n, n, 1.0, a.data(), n, b.data(), n, 0.0, c.data(), n, fast);
   }
 
+  // The lease peak depends on scheduling: any one warm run may overlap its
+  // workers more than the warm-ups did and allocate up to its whole
+  // traffic, so a single run's bytes are load-sensitive. Over eight runs
+  // they are not: the pool's high-water mark only grows and is bounded,
+  // so blocks kept across runs serve nearly every lease — while a pool
+  // that kept nothing across runs would re-allocate every run's traffic.
+  constexpr int kRuns = 8;
   const util::DataPlaneStats base = util::data_plane_stats();
-  dgemm(n, n, n, 1.0, a.data(), n, b.data(), n, 0.0, c.data(), n, fast);
+  for (int run = 0; run < kRuns; ++run) {
+    dgemm(n, n, n, 1.0, a.data(), n, b.data(), n, 0.0, c.data(), n, fast);
+  }
   const util::DataPlaneStats d = util::data_plane_stats().since(base);
-  // The lease peak depends on scheduling, so an exact zero (the serial
-  // test above) or a fixed byte bound would be load-sensitive. The
-  // property that matters: warm allocations are a small fraction of the
-  // leased traffic — per-call staging would make them equal.
   EXPECT_GT(d.fastmm_leases, 0);
   EXPECT_GT(d.fastmm_bytes, 0);
-  EXPECT_LT(d.alloc_bytes, d.fastmm_bytes / 2)
-      << "warm parallel fast-MM run re-allocated most of its leases";
+  EXPECT_LT(d.alloc_bytes, d.fastmm_bytes / 4)
+      << "warm parallel fast-MM runs re-allocated their leases";
 }
 
 TEST(FastMmPooling, ClassicalRunsRecordNoFastMmTraffic) {

@@ -150,6 +150,42 @@ TEST(AllocSteadyState, ShapeRotationReusesOneWorkspace) {
   }
 }
 
+// Each rank stores only the blocks it receives, so a fault-free run copies
+// each line's payload once per receiver, (owners - 1) times, and an owner
+// copies nothing of its own: copy_bytes =
+// 8 n (sum over A rows of h (owners - 1) + sum over B columns of
+// w (owners - 1)). Landing the owners' own blocks too would add 16 n^2.
+TEST(AllocSteadyState, RunCopiesOnlyWhatReceiversStore) {
+  for (const std::int64_t n : {std::int64_t{203}, std::int64_t{512}}) {
+    for (const ShapeCase& sc : kCases) {
+      for (Scheduler scheduler : {Scheduler::kEager, Scheduler::kTaskGraph}) {
+        ExperimentConfig config = numeric_config(sc.shape, scheduler);
+        config.n = n;
+        const ExperimentResult run = core::run_pmm(config);
+        const std::string label = std::string(sc.name) + " " +
+                                  core::to_string(scheduler) + " n=" +
+                                  std::to_string(n);
+        ASSERT_TRUE(run.verified) << label;
+        const partition::PartitionSpec& spec = run.spec;
+        std::int64_t received = 0;  // elements, over all receivers
+        for (int bi = 0; bi < spec.subplda; ++bi) {
+          received += spec.subph[static_cast<std::size_t>(bi)] * n *
+                      static_cast<std::int64_t>(spec.ranks_in_row(bi).size() -
+                                                1);
+        }
+        for (int bj = 0; bj < spec.subpldb; ++bj) {
+          received += spec.subpw[static_cast<std::size_t>(bj)] * n *
+                      static_cast<std::int64_t>(spec.ranks_in_col(bj).size() -
+                                                1);
+        }
+        EXPECT_EQ(run.alloc.copy_bytes,
+                  received * static_cast<std::int64_t>(sizeof(double)))
+            << label;
+      }
+    }
+  }
+}
+
 // Every pooled lease ends with the call or run that took it: once a run
 // has returned, trimming the pool's idle buffers leaves nothing resident.
 // A packed B block kept alive across runs would show up here.

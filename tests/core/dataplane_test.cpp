@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <numeric>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/summagen.hpp"
@@ -104,19 +106,12 @@ TEST(LocalData, RejectsWrongGlobalShape) {
   EXPECT_THROW(RunStores(spec, 3, a, b), std::invalid_argument);
 }
 
-// Sum of `sizes` over the span {first, count}: a WA/WB extent computed
-// independently of RunStores.
-std::int64_t span_extent(const std::vector<std::int64_t>& sizes,
-                         std::pair<int, int> span) {
-  const auto first = sizes.begin() + span.first;
-  return std::accumulate(first, first + span.second, std::int64_t{0});
-}
-
-// One run's lease holds every rank's WA and WB: each slice is exactly the
-// paper's extent in today's layout (rows x n with ld n, n x cols with ld
-// cols), and no two of the 2p slices share an element.
+// One run's lease holds every rank's receive slots: exactly one per block
+// another rank owns in an A row or a B column the rank appears in, h x w
+// with ld w; none for an owned block, which a DGEMM reads in place inside
+// the global operand; and no two slots share an element.
 TEST(RunStores, WorkspaceSlicesAreExactAndDisjoint) {
-  const std::int64_t n = 203;  // odd: slices do not end on a 64-byte line
+  const std::int64_t n = 203;  // odd: slots do not end on a 64-byte line
   std::vector<std::pair<std::string, partition::PartitionSpec>> specs;
   const auto areas = partition::partition_areas_cpm(n * n, {1.0, 2.0, 0.9});
   for (partition::Shape shape : partition::all_shapes()) {
@@ -131,30 +126,66 @@ TEST(RunStores, WorkspaceSlicesAreExactAndDisjoint) {
   for (const auto& [name, spec] : specs) {
     const int p = spec.nprocs();
     const RunStores stores(spec, p, a, b);
-    std::vector<util::ConstMatrixView> slices;
+    const auto roff = spec.row_offsets();
+    const auto coff = spec.col_offsets();
+    std::vector<util::ConstMatrixView> slots;
     for (int r = 0; r < p; ++r) {
       const LocalData& d = *stores.at(r);
-      const std::int64_t rows = span_extent(spec.subph, spec.row_span(r));
-      const std::int64_t cols = span_extent(spec.subpw, spec.col_span(r));
-      EXPECT_EQ(d.wa().rows(), rows) << name << " rank " << r;
-      EXPECT_EQ(d.wa().cols(), n) << name << " rank " << r;
-      EXPECT_EQ(d.wa().ld(), n) << name << " rank " << r;
-      EXPECT_EQ(d.wb().rows(), n) << name << " rank " << r;
-      EXPECT_EQ(d.wb().cols(), cols) << name << " rank " << r;
-      EXPECT_EQ(d.wb().ld(), cols) << name << " rank " << r;
-      slices.push_back(d.wa());
-      slices.push_back(d.wb());
-    }
-    for (std::size_t i = 0; i < slices.size(); ++i) {
-      for (std::size_t j = i + 1; j < slices.size(); ++j) {
-        EXPECT_FALSE(util::views_overlap(slices[i], slices[j]))
-            << name << ": slices " << i << " and " << j;
+      for (int bi = 0; bi < spec.subplda; ++bi) {
+        for (int bj = 0; bj < spec.subpldb; ++bj) {
+          const std::int64_t h = spec.subph[static_cast<std::size_t>(bi)];
+          const std::int64_t w = spec.subpw[static_cast<std::size_t>(bj)];
+          const std::string where = name + " rank " + std::to_string(r) +
+                                    " block (" + std::to_string(bi) + "," +
+                                    std::to_string(bj) + ")";
+          const bool owned = spec.owner(bi, bj) == r;
+          if (owned && h > 0 && w > 0) {
+            EXPECT_EQ(d.a_block(bi, bj).data(),
+                      a.data() + roff[static_cast<std::size_t>(bi)] * n +
+                          coff[static_cast<std::size_t>(bj)])
+                << where;
+            EXPECT_EQ(d.b_block(bi, bj).data(),
+                      b.data() + roff[static_cast<std::size_t>(bi)] * n +
+                          coff[static_cast<std::size_t>(bj)])
+                << where;
+          }
+          const bool sized = h > 0 && w > 0 && !owned;
+          const auto check = [&](bool receives, const char* which,
+                                 auto slot_of, auto block_of) {
+            if (!receives) {
+              EXPECT_THROW(slot_of(), std::out_of_range) << which << where;
+              return;
+            }
+            const util::MatrixView slot = slot_of();
+            EXPECT_EQ(slot.rows(), h) << which << where;
+            EXPECT_EQ(slot.cols(), w) << which << where;
+            EXPECT_EQ(slot.ld(), w) << which << where;
+            EXPECT_EQ(block_of().data(), slot.data()) << which << where;
+            slots.push_back(slot);
+          };
+          check(sized && spec.row_contains(r, bi), "A",
+                [&] { return d.a_slot(bi, bj); },
+                [&] { return d.a_block(bi, bj); });
+          check(sized && spec.col_contains(r, bj), "B",
+                [&] { return d.b_slot(bi, bj); },
+                [&] { return d.b_block(bi, bj); });
+        }
       }
+    }
+    // Sorted by address, each contiguous slot ends before the next begins.
+    std::sort(slots.begin(), slots.end(),
+              [](const util::ConstMatrixView& x,
+                 const util::ConstMatrixView& y) {
+                return std::less<const double*>{}(x.data(), y.data());
+              });
+    for (std::size_t i = 1; i < slots.size(); ++i) {
+      EXPECT_FALSE(util::views_overlap(slots[i - 1], slots[i]))
+          << name << ": slots " << i - 1 << " and " << i;
     }
   }
 }
 
-// Released, the lease leaves every WA and WB empty, and summagen_rank
+// Released, the lease leaves every receive slot empty, and summagen_rank
 // refuses a store without its workspace rather than touch pool memory the
 // store no longer holds.
 TEST(RunStores, ReleasedWorkspaceIsRefused) {
@@ -162,8 +193,9 @@ TEST(RunStores, ReleasedWorkspaceIsRefused) {
   util::Matrix a(16, 16), b(16, 16);
   RunStores stores(spec, 3, a, b);
   stores.release_workspace();
-  EXPECT_TRUE(stores.at(0)->wa().empty());
-  EXPECT_TRUE(stores.at(0)->wb().empty());
+  // Rank 0 receives rank 1's A(0, 1) along row 0 and B(1, 0) down column 0.
+  EXPECT_TRUE(stores.at(0)->a_slot(0, 1).empty());
+  EXPECT_TRUE(stores.at(0)->b_slot(1, 0).empty());
   const auto processors = device::Platform::hclserver1().processors();
   sgmpi::Config mpi_config;
   mpi_config.nranks = 3;

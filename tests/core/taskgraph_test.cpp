@@ -106,20 +106,16 @@ TEST(SummagenGraph, NodeInventoryMatchesPlan) {
 
     std::size_t chunks = 0;
     for (const auto& op : plan.gemm_ops) chunks += op.chunks.size();
-    ASSERT_EQ(g.size(), plan.copy_ops.size() + plan.comm_ops.size() + chunks);
+    ASSERT_EQ(g.size(), plan.comm_ops.size() + chunks);
 
-    // Construction order is copies, comms, chunks — and the comm nodes
-    // preserve the plan's eager global (collective) order: node
-    // |copy_ops| + i is plan comm op i, over the same subgroup: its
-    // line's owners, as the spec lists them.
-    for (std::size_t i = 0; i < plan.copy_ops.size(); ++i) {
-      EXPECT_EQ(g.node(static_cast<int>(i)).kind, NodeKind::kCopy);
-    }
+    // Construction order is comms, then chunks — and the comm nodes
+    // preserve the plan's eager global (collective) order: node i is plan
+    // comm op i, over the same subgroup: its line's owners, as the spec
+    // lists them.
     ASSERT_EQ(g.num_groups(), plan.groups.size());
     for (std::size_t i = 0; i < plan.comm_ops.size(); ++i) {
       const CommOp& op = plan.comm_ops[i];
-      const TaskNode& n =
-          g.node(static_cast<int>(plan.copy_ops.size() + i));
+      const TaskNode& n = g.node(static_cast<int>(i));
       EXPECT_EQ(n.kind, NodeKind::kBcast);
       EXPECT_EQ(n.payload, static_cast<int>(i));
       EXPECT_EQ(n.group, op.group);
@@ -160,20 +156,19 @@ TEST(SummagenGraph, ChunkDepsReproducePlanPrefixes) {
     options.bcast_panel_rows = 16;
     const ExecutionPlan plan = build_plan(spec, options);
     const TaskGraph g = taskgraph::build_summagen_graph(spec, plan);
-    const int ncopies = static_cast<int>(plan.copy_ops.size());
     for (const TaskNode& n : g.nodes()) {
       if (n.kind != NodeKind::kGemm) continue;
       const GemmOp& op = plan.gemm_ops[static_cast<std::size_t>(n.payload)];
       const GemmChunk& ch = op.chunks[static_cast<std::size_t>(n.aux)];
       // A chunk's completion horizon — the largest comm node it waits for
-      // — is exactly the plan's prefix bound, offset by the copy block.
+      // — is exactly the plan's prefix bound (comm node id = plan index).
       // Chunks of one op have strictly increasing dep, so the horizons of
       // the chunk chain are strictly increasing too.
       const int horizon = max_comm_pred(g, n);
       if (ch.dep < 0) {
         EXPECT_EQ(horizon, -1) << "dep-free chunk waits for a comm node";
       } else {
-        EXPECT_EQ(horizon, ncopies + ch.dep)
+        EXPECT_EQ(horizon, ch.dep)
             << partition::shape_name(shape) << " gemm op " << n.payload
             << " chunk " << n.aux;
       }
@@ -232,14 +227,6 @@ TEST(SummagenGraph, PruneMatchesRowColumnLiveness) {
         EXPECT_EQ(n.dropped, !live) << "comm op " << n.payload;
         break;
       }
-      case NodeKind::kCopy: {
-        const CopyOp& op =
-            plan.copy_ops[static_cast<std::size_t>(n.payload)];
-        const bool live = op.is_a ? live_rows.count(op.bi) != 0
-                                  : live_cols.count(op.bj) != 0;
-        EXPECT_EQ(n.dropped, !live) << "copy op " << n.payload;
-        break;
-      }
       default:
         FAIL() << "unexpected node kind in a SummaGen graph";
     }
@@ -249,7 +236,7 @@ TEST(SummagenGraph, PruneMatchesRowColumnLiveness) {
 TEST(TaskGraphInvariants, RejectsBadEdgesAndCycles) {
   const auto two_nodes = [] {
     TaskGraph g;
-    g.add_local(NodeKind::kCopy, 0, 0);
+    g.add_local(NodeKind::kGemm, 0, 0);
     g.add_local(NodeKind::kGemm, 0, 1);
     return g;
   };
@@ -284,9 +271,9 @@ TEST(TaskGraphInvariants, RejectsBadEdgesAndCycles) {
   // before any local node has run, so no comm node waits for local work.
   TaskGraph late;
   const int line = late.add_group(std::vector<int>{0, 1});
-  const int copy = late.add_local(NodeKind::kCopy, 0, 0);
+  const int chunk = late.add_local(NodeKind::kGemm, 0, 0);
   const int bcast = late.add_comm(NodeKind::kBcast, line, 0);
-  late.add_dep(copy, bcast);
+  late.add_dep(chunk, bcast);
   late.seal();
   EXPECT_THROW(late.validate(), std::logic_error);
   TaskGraph comm;

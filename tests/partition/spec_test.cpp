@@ -99,17 +99,6 @@ TEST(PartitionSpec, RanksInRowSortedDistinct) {
   EXPECT_EQ(s.ranks_in_col(2), (std::vector<int>{1, 2}));
 }
 
-TEST(PartitionSpec, RowAndColSpans) {
-  const auto s = corner16();
-  EXPECT_EQ(s.row_span(0), (std::pair<int, int>{0, 1}));
-  EXPECT_EQ(s.row_span(1), (std::pair<int, int>{0, 3}));
-  EXPECT_EQ(s.row_span(2), (std::pair<int, int>{2, 1}));
-  EXPECT_EQ(s.col_span(1), (std::pair<int, int>{0, 3}));
-  EXPECT_EQ(s.col_span(2), (std::pair<int, int>{2, 1}));
-  // A rank that owns nothing.
-  EXPECT_EQ(s.row_span(9), (std::pair<int, int>{0, 0}));
-}
-
 TEST(PartitionSpec, AreasSumToNSquared) {
   const auto s = corner16();
   EXPECT_EQ(s.area_of(0) + s.area_of(1) + s.area_of(2), 16 * 16);
